@@ -145,8 +145,8 @@ func gridValue(o sweepOpts, i int) (float64, error) {
 }
 
 // sweepSpec deep-copies the base spec (via its own JSON round trip, so
-// concurrent points never share mutable state) and applies the swept
-// parameter value.
+// concurrent points never share mutable state) and writes the swept
+// value into the family's sigma or seed field (cliFamilies).
 func sweepSpec(spec *scenario.Spec, o sweepOpts, v float64) (*scenario.Spec, error) {
 	var buf bytes.Buffer
 	if err := spec.Save(&buf); err != nil {
@@ -156,29 +156,25 @@ func sweepSpec(spec *scenario.Spec, o sweepOpts, v float64) (*scenario.Spec, err
 	if err != nil {
 		return nil, err
 	}
+	name, err := pt.FamilyName()
+	if err != nil {
+		return nil, err
+	}
+	fam := cliFamilies[name]
 	switch o.param {
 	case "sigma":
-		switch pt.Family {
-		case "", "pom":
-			pt.Potential.Sigma = v
-		case "continuum":
-			pt.Continuum.Potential.Sigma = v
-		case "torus2d":
-			pt.Torus2D.Potential.Sigma = v
-		case "linstab":
-			pt.Linstab.Potential.Sigma = v
-		default:
-			return nil, fmt.Errorf("family %q has no sigma to sweep", pt.Family)
+		if fam.sigma == nil {
+			return nil, fmt.Errorf("family %q has no sigma to sweep", name)
 		}
+		*fam.sigma(pt) = v
 	case "seed":
 		if v < 0 {
 			return nil, fmt.Errorf("seed sweep reached negative seed %g (check -sweep-from)", v)
 		}
-		if pt.Family == "kuramoto" {
-			pt.Kuramoto.Seed = uint64(v)
-		} else {
-			pt.PerturbSeed = uint64(v)
+		if fam.seed == nil {
+			return nil, fmt.Errorf("family %q has no seed to sweep", name)
 		}
+		*fam.seed(pt) = uint64(v)
 	default:
 		return nil, fmt.Errorf("unknown -sweep-param %q (want sigma | seed)", o.param)
 	}

@@ -34,17 +34,13 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 
 	"repro/internal/archive"
-	"repro/internal/continuum"
 	"repro/internal/core"
-	"repro/internal/kuramoto"
-	"repro/internal/potential"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/viz"
@@ -197,283 +193,90 @@ func main() {
 		return
 	}
 
-	// Non-POM families (a -config scenario with "family": "kuramoto" or
-	// "continuum") run through the unified sim runtime: streamed
-	// accumulators, optional archiving — the same stack, any model.
-	if fam := spec.Family; fam != "" && fam != "pom" {
-		if *svgDir != "" {
-			log.Fatalf("-svg is POM-only; family %q runs in streaming mode", fam)
+	// Every family builds through the registry; only a POM run without
+	// -stream/-archive materializes its trajectory (phase strip, SVGs).
+	// All other runs stream through runStreamed and the family's
+	// cliFamilies entry.
+	name, err := spec.FamilyName()
+	if err != nil {
+		log.Fatal(err)
+	}
+	sys, runEnd, runSamples, err := spec.BuildSystem()
+	if err != nil {
+		log.Fatal(err)
+	}
+	if name != "pom" && *svgDir != "" {
+		log.Fatalf("-svg is POM-only; family %q runs in streaming mode", name)
+	}
+	if name == "pom" && !*stream && *archDir == "" {
+		m := sys.(*core.Model)
+		res, err := m.Run(runEnd, runSamples)
+		if err != nil {
+			log.Fatal(err)
 		}
-		reportFamily(spec, *archDir)
+		report(spec, m, res, *svgDir, *quiet)
 		return
 	}
-
-	cfg, runEnd, runSamples, err := spec.Build()
-	if err != nil {
-		log.Fatal(err)
+	if *svgDir != "" {
+		log.Fatal("-svg needs the materialized trajectory; drop -stream/-archive")
 	}
-	m, err := core.New(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if *stream || *archDir != "" {
-		if *svgDir != "" {
-			log.Fatal("-svg needs the materialized trajectory; drop -stream/-archive")
-		}
-		reportStream(spec, m, runEnd, runSamples, *archDir)
-		return
-	}
-	res, err := m.Run(runEnd, runSamples)
-	if err != nil {
-		log.Fatal(err)
-	}
-	report(spec, m, res, *svgDir, *quiet)
+	runStreamed(&streamed{spec: spec, sys: sys, tEnd: runEnd, samples: runSamples}, cliFamilies[name], *archDir)
 }
 
 // shardCodec is the record codec of every shard this invocation
 // writes, set once in main from -archive-codec.
 var shardCodec archive.Codec
 
-// openArchiveRecord opens a new shard of the archive at archDir and
-// begins its single record with the given parameter vector, using the
-// shard id as the point index so successive pomsim invocations
-// accumulate in one directory. Any failure is fatal (CLI context).
-func openArchiveRecord(archDir string, params []float64) (*archive.Writer, *archive.RecordWriter) {
-	shard, err := archive.NextShard(archDir)
-	if err != nil {
-		log.Fatal(err)
-	}
-	aw, err := archive.CreateWith(archDir, shard, shardCodec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rec, err := aw.Begin(uint64(shard), params)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return aw, rec
-}
-
-// sealArchiveRecord finishes the record with the summary-metric vector
-// (core.Summary.Vector layout) and seals the shard.
-func sealArchiveRecord(aw *archive.Writer, rec *archive.RecordWriter, metrics []float64, nSamples int) {
-	if err := rec.Finish(metrics, nil); err != nil {
-		log.Fatal(err)
-	}
-	if err := aw.Close(); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("archived %d sample rows to %s (point %d)\n", nSamples, aw.Path(), rec.Index())
-}
-
-// reportFamily runs a non-POM scenario through the unified runtime: the
-// spec builds into a sim.System via the family registry, the sample rows
-// stream through the shared accumulator set, and — with a non-empty
-// archDir — into a new shard of the disk-backed archive, exactly like a
-// POM streaming run. Only O(N) accumulator state is ever retained.
-func reportFamily(spec *scenario.Spec, archDir string) {
-	sys, tEnd, nSamples, err := spec.BuildSystem()
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	var aw *archive.Writer
-	var rec *archive.RecordWriter
+// runStreamed runs a built scenario through the unified runtime in one
+// streamed pass: the standard summary accumulators, the family's extra
+// sinks and, with a non-empty archDir, a record in a new shard of the
+// archive there. Only O(N) state is retained. Each invocation gets its
+// own shard and uses the shard id as the point index, so successive
+// runs accumulate in one directory.
+func runStreamed(r *streamed, fam familyCLI, archDir string) {
 	var extra []sim.Sink
-	if archDir != "" {
-		// The params vector carries the run controls plus the family's
-		// physical parameters, so archived trajectories can be tied back
-		// to the configuration that produced them (the POM path archives
-		// [N, TEnd, nSamples, Sigma] the same way).
-		params := []float64{float64(sys.Dim()), tEnd, float64(nSamples)}
-		switch spec.Family {
-		case "kuramoto":
-			k := spec.Kuramoto
-			params = append(params, k.K, k.FreqMean, k.FreqStd, float64(k.Seed))
-		case "continuum":
-			c := spec.Continuum
-			params = append(params, c.K, c.A, c.Potential.Sigma)
-		case "torus2d":
-			t := spec.Torus2D
-			params = append(params, float64(t.NX), float64(t.NY), float64(t.CouplingRadius()), t.Potential.Sigma)
-		case "linstab":
-			l := spec.Linstab
-			scanKind := 0.0 // 0 = gap scan, 1 = coupling scan
-			if l.Scan == "coupling" {
-				scanKind = 1
-			}
-			params = append(params, l.From, l.To, float64(l.ScanPoints()),
-				scanKind, l.Coupling(), l.Gap, l.Potential.Sigma)
-		case "cluster":
-			c := spec.Cluster
-			params = append(params, float64(c.N), float64(c.Iters), c.MessageBytes())
-		}
-		aw, rec = openArchiveRecord(archDir, params)
-		extra = append(extra, rec)
-	}
-
-	// Per-family streaming sinks ride the same single pass: the slip
-	// counter and front tracker see exactly the rows the accumulators
-	// and the archive record see.
-	famSinks, printFamily := familySinks(spec)
-	extra = append(extra, famSinks...)
-
-	sum, err := sim.RunSummaryTo(sys, tEnd, nSamples, 0.1, 0.15, extra...)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if rec != nil {
-		sealArchiveRecord(aw, rec, sum.Vector(), nSamples)
-	}
-
-	fmt.Printf("%s run (unified runtime, streaming): %s  dim=%d t_end=%g samples=%d\n",
-		spec.Family, spec.Name, sys.Dim(), tEnd, nSamples)
-	fmt.Printf("solver: %s\n", sum.Stats)
-	fmt.Printf("asymptotic spread: %.4f rad   max spread: %.4f rad\n",
-		sum.AsymptoticSpread, sum.MaxSpread)
-	if spec.Family == "cluster" {
-		fmt.Printf("iteration skew (spread/2π): asymptotic %.3f   max %.3f iterations\n",
-			sum.AsymptoticSpread/(2*math.Pi), sum.MaxSpread/(2*math.Pi))
-	}
-	fmt.Printf("order parameter: final %.4f   min %.4f\n", sum.FinalOrder, sum.MinOrder)
-	if sum.Resynced {
-		fmt.Printf("resynchronized at t = %.2f\n", sum.ResyncTime)
-	} else {
-		fmt.Println("no resynchronization (broken-symmetry or incoherent state)")
-		fmt.Printf("mean |adjacent gap| = %.4f\n", sum.MeanAbsGap)
-	}
-	printFamily()
-}
-
-// familySinks returns the family-specific streaming sinks of a spec plus
-// a closure printing their findings after the run: the Kuramoto slip
-// counter, the continuum front tracker, and the linstab scan-endpoint
-// summary. Families without a dedicated sink get a no-op. (Validation
-// guarantees the section matching Family is the only one set.)
-func familySinks(spec *scenario.Spec) ([]sim.Sink, func()) {
-	switch spec.Family {
-	case "kuramoto":
-		slips := &kuramoto.SlipCounter{}
-		return []sim.Sink{slips}, func() {
-			fmt.Printf("phase slips: %d   drifting oscillators: %d of %d\n",
-				slips.Slips(), slips.Drifting(0.05), spec.Kuramoto.N)
-		}
-	case "continuum":
-		c := spec.Continuum
-		tracker := &continuum.FrontTracker{
-			Grid: continuum.Grid{M: c.M, A: c.A, Periodic: c.Periodic},
-		}
-		return []sim.Sink{tracker}, func() {
-			fr, err := tracker.Finish()
-			if err != nil {
-				fmt.Println("continuum front: not detected")
-				return
-			}
-			fmt.Printf("continuum front: velocity %+.4f x/time (R²=%.2f, detected in %d samples)\n",
-				fr.Velocity, fr.R2, fr.Detected)
-		}
-	case "linstab":
-		var last []float64
-		sink := sim.SinkFunc(func(_ float64, y []float64) {
-			last = append(last[:0], y...)
-		})
-		return []sim.Sink{sink}, func() {
-			if len(last) == 0 {
-				return
-			}
-			if spec.Linstab.FullSpectrum {
-				fmt.Printf("spectrum at scan end: λ_min %.4g … λ_max %.4g (%d eigenvalues)\n",
-					last[0], last[len(last)-1], len(last))
-				return
-			}
-			fmt.Printf("at scan end (u=%g): λ_max %.4g   unstable modes %d   zero modes %d\n",
-				spec.Linstab.To, last[0],
-				int(math.Round(last[1])), int(math.Round(last[2])))
-		}
-	}
-	return nil, func() {}
-}
-
-// reportStream integrates in streaming mode: the sample rows flow through
-// the online accumulator sinks and only O(N) summary state is ever
-// retained — the memory model of the million-scenario batch sweeps. The
-// printed metrics are bit-for-bit the ones report derives from the
-// materialized trajectory. With a non-empty archDir the same pass also
-// streams every row into a new shard of the disk-backed archive there.
-func reportStream(spec *scenario.Spec, m *core.Model, tEnd float64, nSamples int, archDir string) {
-	spread := &core.SpreadAccumulator{FinalFraction: 0.15}
-	resync := &core.ResyncDetector{Eps: 0.1}
-	gaps := &core.GapAccumulator{FinalFraction: 0.15}
-	sinks := []core.Sink{spread, resync, gaps}
-	waves := make([]*core.WaveDetector, 0, len(spec.Delays))
-	for _, d := range spec.Delays {
-		det, err := core.NewWaveDetector(m, d.Rank, d.Start, 0.15)
+	printSinks := func() {}
+	if fam.sinks != nil {
+		sinks, after, err := fam.sinks(r.spec, r.sys)
 		if err != nil {
 			log.Fatal(err)
 		}
-		waves = append(waves, det)
-		sinks = append(sinks, det)
+		extra, printSinks = sinks, after
 	}
 
-	// Archiving rides the same pass: the record writer is one more sink,
-	// so the rows on disk are exactly the rows the accumulators saw. Each
-	// pomsim invocation gets its own shard (and uses the shard id as the
-	// point index), so successive runs accumulate in one directory.
 	var aw *archive.Writer
 	var rec *archive.RecordWriter
-	order := &core.OrderAccumulator{}
 	if archDir != "" {
-		aw, rec = openArchiveRecord(archDir, []float64{
-			float64(spec.N), spec.TEnd, float64(nSamples), spec.Potential.Sigma,
-		})
-		// The order accumulator completes the standard Summary metric
-		// set, so the archived vector matches the layout sweep-written
-		// records use (core.Summary.Vector).
-		sinks = append(sinks, order, rec)
+		shard, err := archive.NextShard(archDir)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if aw, err = archive.CreateWith(archDir, shard, shardCodec); err != nil {
+			log.Fatal(err)
+		}
+		params := append([]float64{float64(r.sys.Dim()), r.tEnd, float64(r.samples)}, fam.params(r.spec)...)
+		if rec, err = aw.Begin(uint64(shard), params); err != nil {
+			log.Fatal(err)
+		}
+		extra = append(extra, rec)
 	}
 
-	stats, err := m.RunStream(tEnd, nSamples, core.Tee(sinks...))
+	sum, err := sim.RunSummaryTo(r.sys, r.tEnd, r.samples, 0.1, 0.15, extra...)
 	if err != nil {
 		log.Fatal(err)
 	}
-
 	if rec != nil {
-		sum := core.Summary{
-			FinalSpread:      spread.Final(),
-			MaxSpread:        spread.Max(),
-			AsymptoticSpread: spread.Asymptotic(),
-			FinalOrder:       order.Final(),
-			MinOrder:         order.Min(),
-			MeanAbsGap:       gaps.MeanAbsGap(),
+		if err := rec.Finish(sum.Vector(), nil); err != nil {
+			log.Fatal(err)
 		}
-		if rt, err := resync.ResyncTime(); err == nil {
-			sum.Resynced, sum.ResyncTime = true, rt
+		if err := aw.Close(); err != nil {
+			log.Fatal(err)
 		}
-		sealArchiveRecord(aw, rec, sum.Vector(), nSamples)
+		fmt.Printf("archived %d sample rows to %s (point %d)\n", r.samples, aw.Path(), rec.Index())
 	}
-
-	fmt.Printf("POM run (streaming): %s  N=%d potential=%s offsets=%v v_p=%.3g coupling=%.3g\n",
-		spec.Name, spec.N, spec.Potential.Kind, spec.Offsets, m.Vp(), m.Coupling())
-	fmt.Printf("solver: %s\n", stats)
-	fmt.Printf("asymptotic spread: %.4f rad   max spread: %.4f rad\n",
-		spread.Asymptotic(), spread.Max())
-	if rt, err := resync.ResyncTime(); err == nil {
-		fmt.Printf("resynchronized at t = %.2f\n", rt)
-	} else {
-		fmt.Println("no resynchronization (broken-symmetry state)")
-		fmt.Printf("mean |adjacent gap| = %.4f", gaps.MeanAbsGap())
-		if spec.Potential.Kind == "desync" {
-			fmt.Printf(" (potential stable zero 2σ/3 = %.4f)",
-				potential.NewDesync(spec.Potential.Sigma).StableZero())
-		}
-		fmt.Println()
-	}
-	for i, det := range waves {
-		if wf, err := det.Finish(); err == nil {
-			fmt.Printf("idle wave from rank %d: speed %.3f ranks/period (R²=%.2f, reached %d ranks)\n",
-				spec.Delays[i].Rank, wf.SpeedRanksPerPeriod, wf.R2, wf.Reached)
-		}
-	}
+	r.sum = sum
+	fam.report(r)
+	printSinks()
 }
 
 // report prints the run summary and writes optional SVGs.
@@ -495,17 +298,11 @@ func report(spec *scenario.Spec, m *core.Model, res *core.Result, svgDir string,
 			}
 			s += g
 		}
-		fmt.Printf("mean |adjacent gap| = %.4f", s/float64(len(gaps)))
-		if spec.Potential.Kind == "desync" {
-			fmt.Printf(" (potential stable zero 2σ/3 = %.4f)",
-				potential.NewDesync(spec.Potential.Sigma).StableZero())
-		}
-		fmt.Println()
+		fmt.Printf("mean |adjacent gap| = %.4f%s\n", s/float64(len(gaps)), stableZeroNote(spec))
 	}
 	for _, d := range spec.Delays {
 		if wf, err := res.MeasureWave(d.Rank, d.Start, 0.15); err == nil {
-			fmt.Printf("idle wave from rank %d: speed %.3f ranks/period (R²=%.2f, reached %d ranks)\n",
-				d.Rank, wf.SpeedRanksPerPeriod, wf.R2, wf.Reached)
+			printWave(d.Rank, wf)
 		}
 	}
 

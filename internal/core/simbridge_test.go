@@ -58,8 +58,8 @@ func TestLockAccumulatorMatchesFrequencyLocked(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				lock := &LockAccumulator{FinalFraction: ff}
-				if _, err := m2.RunStream(120, 241, lock); err != nil {
+				lock := &sim.LockAccumulator{FinalFraction: ff}
+				if _, err := sim.RunStream(m2, 120, 241, lock); err != nil {
 					t.Fatal(err)
 				}
 				want := res.FrequencyLocked(ff, tol)

@@ -49,7 +49,15 @@ func TestValidate(t *testing.T) {
 }
 
 func TestBuildDefaults(t *testing.T) {
-	cfg, tEnd, samples, err := validSpec().Build()
+	s := validSpec()
+	sys, tEnd, samples, err := s.BuildSystem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := sys.(*core.Model); !ok || sys.Dim() != 12 {
+		t.Errorf("system = %T of dim %d, want a 12-rank *core.Model", sys, sys.Dim())
+	}
+	cfg, err := s.buildPOMConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +81,11 @@ func TestBuildFullSpec(t *testing.T) {
 	s.CommLag = 0.05
 	s.TEnd = 77
 	s.Samples = 321
-	cfg, tEnd, samples, err := s.Build()
+	_, tEnd, samples, err := s.BuildSystem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := s.buildPOMConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,15 +151,11 @@ func TestSpecRunsEndToEnd(t *testing.T) {
 	s.PerturbSeed = 3
 	s.TEnd = 300
 	s.Samples = 301
-	cfg, tEnd, samples, err := s.Build()
+	sys, tEnd, samples, err := s.BuildSystem()
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := core.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Run(tEnd, samples)
+	res, err := sys.(*core.Model).Run(tEnd, samples)
 	if err != nil {
 		t.Fatal(err)
 	}
