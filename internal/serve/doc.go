@@ -10,9 +10,11 @@
 //		admission → queue → runner → cache/archive → stream
 //
 //	  - Cache hit: the hash is already in the archive-backed result cache,
-//	    so the response is a disk read (archive shard → NDJSON), byte-
-//	    identical to the body a fresh run would have produced. No worker
-//	    time is spent and no admission token is consumed.
+//	    so the response is a disk read: the shard's record is decoded and
+//	    its rows are streamed, rendered into a pooled ~32 KiB chunk that
+//	    is written each time it fills. The body is byte-identical to the
+//	    one a fresh run would have produced. No worker time is spent and
+//	    no admission token is consumed.
 //	  - Coalesced: an identical spec is already queued or running; the
 //	    request attaches to that job's live row stream instead of
 //	    executing a second time. One execution per cache key, always.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -65,13 +66,24 @@ func newTestServer(t testing.TB, cfg serve.Config) (*serve.Server, *httptest.Ser
 	return srv, hs
 }
 
-// renderSink renders solver rows through the service's own row
-// renderer — the direct-run reference body for the bitwise pins.
+// renderSink renders solver rows to NDJSON with strconv's shortest
+// 'g' form — the direct-run reference body for the bitwise pins. It is
+// written independently of serve.AppendRow, so a wrong service encoder
+// cannot agree with its own reference.
 type renderSink struct{ body []byte }
 
 func (r *renderSink) Begin(n, nSamples int) {}
 func (r *renderSink) Sample(t float64, y []float64) {
-	r.body = serve.AppendRow(r.body, t, y)
+	r.body = append(r.body, `{"t":`...)
+	r.body = strconv.AppendFloat(r.body, t, 'g', -1, 64)
+	r.body = append(r.body, `,"y":[`...)
+	for i, v := range y {
+		if i > 0 {
+			r.body = append(r.body, ',')
+		}
+		r.body = strconv.AppendFloat(r.body, v, 'g', -1, 64)
+	}
+	r.body = append(r.body, "]}\n"...)
 }
 
 // directBody runs the spec through sim.RunStream in-process and renders
@@ -102,12 +114,43 @@ func postRun(t *testing.T, base string, doc []byte) *http.Response {
 	return resp
 }
 
+// fetchRun posts doc to /v1/run and returns the body and job ID,
+// failing t unless the response is a complete 200 of cache kind kind.
+func fetchRun(t *testing.T, base string, doc []byte, kind string, samples int) ([]byte, string) {
+	t.Helper()
+	resp := postRun(t, base, doc)
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := resp.Body.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	if got := resp.Header.Get("X-Pomsimd-Cache"); got != kind {
+		t.Errorf("cache header %q, want %q", got, kind)
+	}
+	if got := resp.Trailer.Get("X-Pomsimd-Status"); got != "done" {
+		t.Errorf("%s trailer status %q, want done", kind, got)
+	}
+	if got := resp.Trailer.Get("X-Pomsimd-Rows"); got != strconv.Itoa(samples) {
+		t.Errorf("%s trailer rows %q, want %d", kind, got, samples)
+	}
+	return body, resp.Header.Get("X-Pomsimd-Job")
+}
+
 // TestE2EPerFamily pins, for every family's shipped example: the
 // streamed HTTP body is byte-identical to a direct in-process
 // sim.RunStream of the same spec; a second submit is answered from the
-// cache, again byte-identical, without a second execution.
+// cache without a second execution, and its streamed body equals the
+// fresh one, RenderRecord of the cached record, and ResultBody of both
+// jobs. The examples span a body of many stream chunks (pom) and one
+// smaller than a single chunk.
 func TestE2EPerFamily(t *testing.T) {
 	srv, hs := newTestServer(t, serve.Config{Workers: 2})
+	smallest, largest := math.MaxInt, 0
 	for family, file := range families {
 		t.Run(family, func(t *testing.T) {
 			doc := readExample(t, file)
@@ -122,54 +165,49 @@ func TestE2EPerFamily(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Fresh run.
-			resp := postRun(t, hs.URL, doc)
-			body, err := io.ReadAll(resp.Body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := resp.Body.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("status %d: %s", resp.StatusCode, body)
-			}
-			if got := resp.Header.Get("X-Pomsimd-Cache"); got != "miss" {
-				t.Errorf("first submit cache header %q, want miss", got)
-			}
-			if got := resp.Trailer.Get("X-Pomsimd-Status"); got != "done" {
-				t.Errorf("trailer status %q, want done", got)
-			}
-			if got := resp.Trailer.Get("X-Pomsimd-Rows"); got != strconv.Itoa(samples) {
-				t.Errorf("trailer rows %q, want %d", got, samples)
-			}
+			body, freshID := fetchRun(t, hs.URL, doc, "miss", samples)
 			if !bytes.Equal(body, want) {
 				t.Fatalf("streamed body diverges from direct run: %d vs %d bytes\nfirst streamed line: %.120s\nfirst direct line:   %.120s",
 					len(body), len(want), firstLine(body), firstLine(want))
 			}
 
 			// Repeat: must be a cache hit, byte-identical, no re-execution.
-			resp2 := postRun(t, hs.URL, doc)
-			body2, err := io.ReadAll(resp2.Body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := resp2.Body.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if got := resp2.Header.Get("X-Pomsimd-Cache"); got != "hit" {
-				t.Errorf("second submit cache header %q, want hit", got)
-			}
-			if !bytes.Equal(body2, want) {
-				t.Fatalf("cache-hit body diverges: %d vs %d bytes", len(body2), len(want))
+			hit, hitID := fetchRun(t, hs.URL, doc, "hit", samples)
+			if !bytes.Equal(hit, want) {
+				t.Fatalf("cache-hit body diverges: %d vs %d bytes", len(hit), len(want))
 			}
 			if n := srv.Executions(hash); n != 1 {
 				t.Errorf("executions for %s = %d, want 1", family, n)
 			}
+			rec, ok, err := srv.CachedRecord(hash)
+			if err != nil || !ok {
+				t.Fatalf("cached record: ok=%v err=%v", ok, err)
+			}
+			if got := serve.RenderRecord(rec); !bytes.Equal(got, want) {
+				t.Errorf("RenderRecord diverges: %d vs %d bytes", len(got), len(want))
+			}
+			for _, id := range []string{freshID, hitID} {
+				j, ok := srv.Job(id)
+				if !ok {
+					t.Fatalf("unknown job %q", id)
+				}
+				got, err := srv.ResultBody(j)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("ResultBody(%s) diverges: %d vs %d bytes", id, len(got), len(want))
+				}
+			}
+			smallest, largest = min(smallest, len(hit)), max(largest, len(hit))
 
 			// Every line must be a standalone JSON row.
 			checkNDJSON(t, body, samples)
 		})
+	}
+	if largest < 8*serve.ChunkSize || smallest >= serve.ChunkSize {
+		t.Errorf("bodies span %d–%d bytes; the examples must include one over 8 stream chunks and one under a chunk (%d bytes)",
+			smallest, largest, serve.ChunkSize)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"repro/internal/archive"
 	"repro/internal/scenario"
 )
 
@@ -97,20 +98,19 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 }
 
 // streamJob writes a job's NDJSON rows, following the live buffer for
-// executing jobs and rendering the archived record for cache hits. The
-// request context going away stops the stream but never the job — a
-// disconnected client's run completes into the cache regardless.
+// executing jobs and rendering the archived record row by row for cache
+// hits. A failed write or the request context going away stops the
+// stream (status "disconnected") but never the job — a disconnected
+// client's run completes into the cache regardless.
 func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *Job, kind string) {
-	var cachedBody []byte
-	var cachedRows int
+	var rec *archive.Record
 	if j.buf == nil {
-		rec, ok, err := s.CachedRecord(j.Hash)
+		cached, ok, err := s.CachedRecord(j.Hash)
 		if err != nil || !ok {
 			writeJSON(w, http.StatusInternalServerError, apiError{Error: "serve: reading cache entry failed"})
 			return
 		}
-		cachedBody = RenderRecord(rec)
-		cachedRows = rec.NSamples()
+		rec = cached
 	}
 
 	h := w.Header()
@@ -120,10 +120,13 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *Job, kind 
 	h.Set("Trailer", "X-Pomsimd-Status, X-Pomsimd-Rows")
 	w.WriteHeader(http.StatusOK)
 
-	if cachedBody != nil {
-		_, _ = w.Write(cachedBody)
-		h.Set("X-Pomsimd-Status", string(StateDone))
-		h.Set("X-Pomsimd-Rows", strconv.Itoa(cachedRows))
+	status := "disconnected"
+	if rec != nil {
+		if writeRecord(w, rec) {
+			status = string(StateDone)
+		}
+		h.Set("X-Pomsimd-Status", status)
+		h.Set("X-Pomsimd-Rows", strconv.Itoa(rec.NSamples()))
 		return
 	}
 
@@ -137,7 +140,6 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *Job, kind 
 		}
 		return true
 	})
-	status := "disconnected"
 	if completed {
 		state, _ := j.State()
 		status = string(state)

@@ -283,17 +283,6 @@ func (s *Server) ResultBody(j *Job) ([]byte, error) {
 	return RenderRecord(rec), nil
 }
 
-// RenderRecord renders an archived record to the NDJSON body its
-// original run streamed. The archive round trip is bitwise-exact and
-// AppendRow is deterministic, so the output equals the original bytes.
-func RenderRecord(rec *archive.Record) []byte {
-	var out []byte
-	for k := 0; k < rec.NSamples(); k++ {
-		out = AppendRow(out, rec.Ts[k], rec.Row(k))
-	}
-	return out
-}
-
 // Close stops accepting work, cancels in-flight jobs, waits for the
 // workers to drain, and releases the cache.
 func (s *Server) Close() error {
