@@ -79,7 +79,7 @@ func runDistributed(spec *scenario.Spec, o sweepOpts) {
 		if err != nil {
 			return err
 		}
-		sum, err := sim.RunSummaryTo(sys, tEnd, nSamples, 0.1, 0.15, rec)
+		sum, err := sim.RunSummary(sys, tEnd, nSamples, 0.1, 0.15, rec)
 		if err != nil {
 			return err
 		}

@@ -261,7 +261,7 @@ func runStreamed(r *streamed, fam familyCLI, archDir string) {
 		extra = append(extra, rec)
 	}
 
-	sum, err := sim.RunSummaryTo(r.sys, r.tEnd, r.samples, 0.1, 0.15, extra...)
+	sum, err := sim.RunSummary(r.sys, r.tEnd, r.samples, 0.1, 0.15, extra...)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -90,10 +90,10 @@ func main() {
 		if err != nil {
 			return err
 		}
-		// sim.RunSummaryTo tees the record writer into the accumulator pass,
+		// sim.RunSummary tees the record writer into the accumulator pass,
 		// so the rows land on disk while the summary forms — nothing is
 		// materialized in memory.
-		sum, err := sim.RunSummaryTo(m, *tEnd, *samples, 0.1, 0.15, rec)
+		sum, err := sim.RunSummary(m, *tEnd, *samples, 0.1, 0.15, rec)
 		if err != nil {
 			return err
 		}

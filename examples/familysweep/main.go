@@ -101,7 +101,7 @@ func main() {
 			if err != nil {
 				return err
 			}
-			sum, err := sim.RunSummaryTo(sys, tEnd, samples, 0.1, 0.15, rec)
+			sum, err := sim.RunSummary(sys, tEnd, samples, 0.1, 0.15, rec)
 			if err != nil {
 				return err
 			}

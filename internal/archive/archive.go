@@ -125,18 +125,17 @@ func NextShard(dir string) (int, error) {
 // Close, when the footer index is written, the file synced, and the
 // *.tmp name atomically renamed to the final one.
 type Writer struct {
-	dir     string
-	shard   int    // shard id (the NNNNN of shard-NNNNN.pom)
-	path    string // final path
-	tmp     string // in-progress path
-	f       *os.File
-	bw      *bufio.Writer
-	off     int64 // logical write offset (through bw)
-	ents    []indexEntry
-	rec     *RecordWriter // open record, if any
-	buf     []byte        // encoding scratch
-	version int           // shard format generation (1 or 2)
-	codec   Codec         // resolved record codec (CodecRaw or CodecDelta)
+	dir   string
+	shard int    // shard id (the NNNNN of shard-NNNNN.pom)
+	path  string // final path
+	tmp   string // in-progress path
+	f     *os.File
+	bw    *bufio.Writer
+	off   int64 // logical write offset (through bw)
+	ents  []indexEntry
+	rec   *RecordWriter // open record, if any
+	buf   []byte        // encoding scratch
+	codec Codec         // resolved record codec (CodecRaw or CodecDelta)
 	// Per-column predictor state for CodecDelta, sized by
 	// RecordWriter.Begin so Sample never allocates (prev[0] is the time
 	// column). Owned by the Writer so scratch survives across records.
@@ -169,18 +168,6 @@ func Create(dir string, shard int) (*Writer, error) {
 
 // CreateWith is Create with an explicit record codec.
 func CreateWith(dir string, shard int, codec Codec) (*Writer, error) {
-	return create(dir, shard, 2, codec)
-}
-
-// CreateV1 opens a shard writer that produces the legacy POMARC1
-// format (raw payloads, no codec byte). It exists so compatibility
-// tests and tooling can generate previous-generation archives; new
-// writes should use Create/CreateWith.
-func CreateV1(dir string, shard int) (*Writer, error) {
-	return create(dir, shard, 1, CodecRaw)
-}
-
-func create(dir string, shard, version int, codec Codec) (*Writer, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("archive: %w", err)
 	}
@@ -207,15 +194,10 @@ func create(dir string, shard, version int, codec Codec) (*Writer, error) {
 	}
 	w := &Writer{
 		dir: dir, shard: shard, path: path, tmp: tmp, f: f,
-		bw:      bufio.NewWriterSize(f, 1<<16),
-		version: version,
-		codec:   codec.resolve(),
+		bw:    bufio.NewWriterSize(f, 1<<16),
+		codec: codec.resolve(),
 	}
-	if version == 1 {
-		w.writeRaw([]byte(shardMagicV1))
-	} else {
-		w.writeRaw([]byte(shardMagicV2))
-	}
+	w.writeRaw([]byte(shardMagicV2))
 	return w, nil
 }
 
@@ -333,12 +315,9 @@ func (w *Writer) Begin(index uint64, params []float64) (*RecordWriter, error) {
 	w.buf = u32(w.buf, 0) // payload length, patched by Finish
 	w.writeRaw(w.buf)
 	rw.payloadOff = w.off
-	w.buf = w.buf[:0]
-	if w.version >= 2 {
-		// POMARC2 records are self-describing: the leading codec byte
-		// lets one archive (or one merge) mix record generations.
-		w.buf = append(w.buf, w.codec.wireByte())
-	}
+	// POMARC2 records are self-describing: the leading codec byte lets
+	// one archive (or one merge) mix record generations.
+	w.buf = append(w.buf[:0], w.codec.wireByte())
 	w.buf = u64(w.buf, index)
 	w.buf = u32(w.buf, uint32(len(params)))
 	w.buf = f64s(w.buf, params)

@@ -198,41 +198,87 @@ func TestStreamedMatchesAppend(t *testing.T) {
 	}
 }
 
-// formatVariants enumerates every way a shard can be written: the two
-// POMARC2 codecs plus the legacy POMARC1 format. Corruption sweeps and
-// round-trip properties run over all of them.
-var formatVariants = []struct {
-	name   string
-	create func(dir string, shard int) (*Writer, error)
-}{
-	{"delta", func(dir string, shard int) (*Writer, error) { return CreateWith(dir, shard, CodecDelta) }},
-	{"raw", func(dir string, shard int) (*Writer, error) { return CreateWith(dir, shard, CodecRaw) }},
-	{"v1", CreateV1},
+// formatVariant is one shard format the readers accept: a POMARC2
+// codec, or the legacy POMARC1 generation.
+type formatVariant struct {
+	name  string
+	codec Codec // POMARC2 record codec; unused for v1
+	v1    bool
 }
 
-// writeTestShard writes a 3-record shard and returns its path.
-func writeTestShard(t *testing.T, dir string) string {
-	return writeTestShardWith(t, dir, Create)
+// formatVariants enumerates every shard format the readers accept: the
+// two POMARC2 codecs plus the legacy POMARC1 format. Corruption sweeps
+// and round-trip properties run over all of them.
+var formatVariants = []formatVariant{
+	{name: "delta", codec: CodecDelta},
+	{name: "raw", codec: CodecRaw},
+	{name: "v1", v1: true},
 }
 
-func writeTestShardWith(t *testing.T, dir string, create func(string, int) (*Writer, error)) string {
+// writeShard stores recs as shard id shard in dir in the variant's
+// format and returns the shard path. The package no longer writes
+// POMARC1, so the v1 variant copies the committed fixture
+// testdata/v1-<fixture>.pom, which the former POMARC1 writer produced
+// from the same records, and fails the test unless the fixture holds
+// exactly recs.
+func (v formatVariant) writeShard(t *testing.T, dir string, shard int, fixture string, recs []*Record) string {
 	t.Helper()
-	rng := rand.New(rand.NewSource(11))
-	w, err := create(dir, 0)
+	if !v.v1 {
+		w, err := CreateWith(dir, shard, v.codec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, rec := range recs {
+			if err := w.Append(rec); err != nil {
+				t.Fatalf("append %d: %v", i, err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return w.Path()
+	}
+	data, err := os.ReadFile(filepath.Join("testdata", "v1-"+fixture+".pom"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		rec := randRecord(rng, uint64(i))
-		rec.Width, rec.Ts, rec.Samples = 2, []float64{0, 1}, []float64{1, 2, 3, 4}
-		if err := w.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
+	path := filepath.Join(dir, shardName(shard))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return w.Path()
+	s, err := OpenShard(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.Version() != 1 || s.Len() != len(recs) {
+		t.Fatalf("fixture %s: version %d with %d records, want version 1 with %d",
+			fixture, s.Version(), s.Len(), len(recs))
+	}
+	for k, want := range recs {
+		got, err := s.Read(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !recordsEqual(got, want) {
+			t.Fatalf("fixture %s: record %d differs from the test's record", fixture, k)
+		}
+	}
+	return path
+}
+
+// writeTestShardWith writes a 3-record shard in the variant's format and
+// returns its path.
+func writeTestShardWith(t *testing.T, dir string, v formatVariant) string {
+	t.Helper()
+	rng := rand.New(rand.NewSource(11))
+	recs := make([]*Record, 3)
+	for i := range recs {
+		rec := randRecord(rng, uint64(i))
+		rec.Width, rec.Ts, rec.Samples = 2, []float64{0, 1}, []float64{1, 2, 3, 4}
+		recs[i] = rec
+	}
+	return v.writeShard(t, dir, 0, "small", recs)
 }
 
 // TestTornWrite truncates a shard at every byte boundary and asserts the
@@ -242,7 +288,7 @@ func writeTestShardWith(t *testing.T, dir string, create func(string, int) (*Wri
 func TestTornWrite(t *testing.T) {
 	for _, v := range formatVariants {
 		t.Run(v.name, func(t *testing.T) {
-			path := writeTestShardWith(t, t.TempDir(), v.create)
+			path := writeTestShardWith(t, t.TempDir(), v)
 			good, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
@@ -273,7 +319,7 @@ func TestTornWrite(t *testing.T) {
 func TestBitRot(t *testing.T) {
 	for _, v := range formatVariants {
 		t.Run(v.name, func(t *testing.T) {
-			path := writeTestShardWith(t, t.TempDir(), v.create)
+			path := writeTestShardWith(t, t.TempDir(), v)
 			good, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)

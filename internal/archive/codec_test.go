@@ -48,10 +48,6 @@ func TestCodecRoundTripAllVariants(t *testing.T) {
 		t.Run(v.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(77))
 			dir := t.TempDir()
-			w, err := v.create(dir, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
 			const n = 25
 			want := make([]*Record, n)
 			for i := 0; i < n; i++ {
@@ -60,13 +56,8 @@ func TestCodecRoundTripAllVariants(t *testing.T) {
 				} else {
 					want[i] = randRecord(rng, uint64(i))
 				}
-				if err := w.Append(want[i]); err != nil {
-					t.Fatalf("append %d: %v", i, err)
-				}
 			}
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
+			v.writeShard(t, dir, 0, "roundtrip", want)
 			a, err := OpenDir(dir)
 			if err != nil {
 				t.Fatal(err)
@@ -105,18 +96,7 @@ func TestCanonicalEqualAcrossCodecs(t *testing.T) {
 	var archives []opened
 	for _, v := range formatVariants {
 		dir := t.TempDir()
-		w, err := v.create(dir, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, rec := range recs {
-			if err := w.Append(rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
+		v.writeShard(t, dir, 0, "canonical", recs)
 		a, err := OpenDir(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -158,18 +138,11 @@ func TestMixedGenerationDir(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	dir := t.TempDir()
 	for s, v := range formatVariants {
-		w, err := v.create(dir, s)
-		if err != nil {
-			t.Fatal(err)
+		recs := make([]*Record, 4)
+		for i := range recs {
+			recs[i] = randRecord(rng, uint64(s*4+i))
 		}
-		for i := 0; i < 4; i++ {
-			if err := w.Append(randRecord(rng, uint64(s*4+i))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
+		v.writeShard(t, dir, s, "mixed", recs)
 	}
 	a, err := OpenDir(dir)
 	if err != nil {
@@ -195,7 +168,7 @@ func TestShardVersionAndRecordCodec(t *testing.T) {
 	wantVer := map[string]int{"delta": 2, "raw": 2, "v1": 1}
 	for _, v := range formatVariants {
 		dir := t.TempDir()
-		path := writeTestShardWith(t, dir, v.create)
+		path := writeTestShardWith(t, dir, v)
 		s, err := OpenShard(path)
 		if err != nil {
 			t.Fatal(err)

@@ -256,14 +256,9 @@ func (r *Result) GradientField(k int) []float64 {
 
 // SpreadTimeline returns max θ − min θ at every sample.
 func (r *Result) SpreadTimeline() []float64 {
-	out := make([]float64, len(r.Theta))
-	for k, th := range r.Theta {
-		lo, hi, err := mathx.MinMax(th)
-		if err == nil {
-			out[k] = hi - lo
-		}
-	}
-	return out
+	acc := &sim.SpreadAccumulator{KeepTimeline: true, Timeline: make([]float64, 0, len(r.Theta))}
+	sim.Replay(r.Ts, r.Theta, acc)
+	return acc.Timeline
 }
 
 // SecondMoment returns the variance of the lag distribution at sample k

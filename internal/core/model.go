@@ -368,9 +368,9 @@ type Result struct {
 
 // The solver loop, sample-plan machinery, and sink protocol live in the
 // shared sim runtime; Model participates by implementing sim.System (plus
-// the Delayed, Tuned, and Releaser extensions). Run, RunStream, and
-// RunSummary are thin shims over sim.Run / sim.RunStream and produce
-// bit-for-bit the output the pre-sim bespoke loop produced.
+// the Delayed, Tuned, and Releaser extensions). Run is a thin shim over
+// sim.Run and produces bit-for-bit the output the pre-sim bespoke loop
+// produced.
 
 // Dim implements sim.System.
 func (m *Model) Dim() int { return m.cfg.N }

@@ -22,7 +22,7 @@ var (
 
 // TestLockAccumulatorMatchesFrequencyLocked pins the streaming
 // frequency-lock decision against the materialized
-// Result.FrequencyLocked over a locked run (imbalanced tanh chain) and
+// Result.FrequencyLocked loop over a locked run (imbalanced tanh chain) and
 // an unlocked one (drifting weakly coupled chain), across window
 // fractions and tolerances.
 func TestLockAccumulatorMatchesFrequencyLocked(t *testing.T) {
@@ -62,7 +62,7 @@ func TestLockAccumulatorMatchesFrequencyLocked(t *testing.T) {
 				if _, err := sim.RunStream(m2, 120, 241, lock); err != nil {
 					t.Fatal(err)
 				}
-				want := res.FrequencyLocked(ff, tol)
+				want := oracleFrequencyLocked(res, ff, tol)
 				if got := lock.Locked(tol); got != want {
 					t.Errorf("%s ff=%v tol=%v: streamed lock = %v, materialized = %v",
 						name, ff, tol, got, want)

@@ -8,10 +8,9 @@ import (
 )
 
 // WaveDetector measures the idle-wave front launched by a one-off delay
-// online — the streaming counterpart of Result.MeasureWave, producing the
-// identical WaveFront: the pre-delay baseline lag is tracked sample by
-// sample, arrivals are detected forward, and the speed fit runs once in
-// Finish.
+// online: the pre-delay baseline lag is tracked sample by sample,
+// arrivals are detected forward, and the speed fit runs once in Finish.
+// Result.MeasureWave replays a materialized run through it.
 type WaveDetector struct {
 	origin        int
 	delayStart    float64
@@ -68,7 +67,7 @@ func (w *WaveDetector) Sample(t float64, theta []float64) {
 	if !w.frozen {
 		if k == 0 || t < w.delayStart {
 			// This sample is (so far) the last one before the delay hits:
-			// it defines the baseline lag, like MeasureWave's k0 row.
+			// it defines the baseline lag.
 			for i := 0; i < w.n; i++ {
 				w.base[i] = w.omega*t - theta[i]
 			}
@@ -89,8 +88,7 @@ func (w *WaveDetector) Sample(t float64, theta []float64) {
 	}
 }
 
-// Finish fits the front speed from the accumulated arrivals and returns
-// the WaveFront MeasureWave would compute on the materialized run.
+// Finish fits the front speed from the accumulated arrivals.
 func (w *WaveDetector) Finish() (WaveFront, error) {
 	wf := WaveFront{Origin: w.origin, ArrivalTime: append([]float64(nil), w.arrival...)}
 	var xs, ys []float64 // x: arrival time, y: distance from origin

@@ -39,7 +39,7 @@ func streamCase(t *testing.T, dde bool, workers int) Config {
 // TestRunStreamMatchesRun pins the streaming contract end to end: for both
 // the ODE and the DDE (interaction-noise) solver paths, serial and with a
 // worker pool, every accumulator output is bitwise identical to the metric
-// computed from the materialized Result.
+// the materialized oracle loops compute from the Result's rows.
 func TestRunStreamMatchesRun(t *testing.T) {
 	const (
 		tEnd     = 120.0
@@ -84,7 +84,7 @@ func TestRunStreamMatchesRun(t *testing.T) {
 				t.Errorf("solver stats diverged: streamed %v, materialized %v", stats, res.Stats)
 			}
 
-			wantSpread := res.SpreadTimeline()
+			wantSpread := oracleSpreadTimeline(res)
 			if len(spread.Timeline) != len(wantSpread) {
 				t.Fatalf("spread timeline length %d, want %d", len(spread.Timeline), len(wantSpread))
 			}
@@ -94,23 +94,23 @@ func TestRunStreamMatchesRun(t *testing.T) {
 						k, spread.Timeline[k], wantSpread[k])
 				}
 			}
-			wantOrder := res.OrderTimeline()
+			wantOrder := oracleOrderTimeline(res)
 			for k := range wantOrder {
 				if order.Timeline[k] != wantOrder[k] {
 					t.Fatalf("order[%d]: streamed %v, materialized %v", k, order.Timeline[k], wantOrder[k])
 				}
 			}
-			if got, want := spread.Asymptotic(), res.AsymptoticSpread(ff); got != want {
+			if got, want := spread.Asymptotic(), oracleAsymptoticSpread(res, ff); got != want {
 				t.Errorf("asymptotic spread: streamed %v, materialized %v", got, want)
 			}
 
-			wantRt, wantErr := res.ResyncTime(eps)
+			wantRt, wantErr := oracleResyncTime(res, eps)
 			gotRt, gotErr := resync.ResyncTime()
 			if (gotErr == nil) != (wantErr == nil) || gotRt != wantRt {
 				t.Errorf("resync: streamed (%v, %v), materialized (%v, %v)", gotRt, gotErr, wantRt, wantErr)
 			}
 
-			wantGaps := res.AsymptoticGaps(ff)
+			wantGaps := oracleAsymptoticGaps(res, ff)
 			gotGaps := gaps.Gaps()
 			if len(gotGaps) != len(wantGaps) {
 				t.Fatalf("gap width %d, want %d", len(gotGaps), len(wantGaps))
@@ -125,7 +125,7 @@ func TestRunStreamMatchesRun(t *testing.T) {
 }
 
 // TestWaveDetectorMatchesMeasureWave pins the streaming wave-front metric
-// against the materialized MeasureWave on the Fig. 2 delay scenario.
+// against the materialized MeasureWave loop on the Fig. 2 delay scenario.
 func TestWaveDetectorMatchesMeasureWave(t *testing.T) {
 	tp, err := topology.NextNeighbor(40, false)
 	if err != nil {
@@ -147,7 +147,7 @@ func TestWaveDetectorMatchesMeasureWave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, wantErr := res.MeasureWave(5, 20, 0.15)
+	want, wantErr := oracleMeasureWave(res, 5, 20, 0.15)
 
 	mStr, err := New(cfg)
 	if err != nil {
@@ -205,14 +205,14 @@ func TestRunSummaryResync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := res.ResyncTime(0.1)
+	rt, err := oracleResyncTime(res, 0.1)
 	if err != nil {
 		t.Fatalf("scenario must resynchronize: %v", err)
 	}
 	if !sum.Resynced || sum.ResyncTime != rt {
 		t.Errorf("summary resync (%v, %v), materialized %v", sum.Resynced, sum.ResyncTime, rt)
 	}
-	if got, want := sum.AsymptoticSpread, res.AsymptoticSpread(0.15); got != want {
+	if got, want := sum.AsymptoticSpread, oracleAsymptoticSpread(res, 0.15); got != want {
 		t.Errorf("summary asymptotic spread %v, want %v", got, want)
 	}
 	if sum.Stats != res.Stats {
@@ -220,11 +220,11 @@ func TestRunSummaryResync(t *testing.T) {
 	}
 }
 
-// TestRunSummaryToExtraSinks checks the archive hook: extra sinks teed
-// into RunSummaryTo see exactly the rows the accumulators see (count,
+// TestRunSummaryExtraSinks checks the archive hook: extra sinks teed
+// into RunSummary see exactly the rows the accumulators see (count,
 // times, and values), and the summary itself is unchanged by their
 // presence.
-func TestRunSummaryToExtraSinks(t *testing.T) {
+func TestRunSummaryExtraSinks(t *testing.T) {
 	cfg := baseConfig(t, 8)
 	cfg.LocalNoise = noise.Delay{Rank: 3, Start: 10, Duration: 1, Extra: 20}
 	const tEnd, nSamples = 60.0, 121
@@ -250,7 +250,7 @@ func TestRunSummaryToExtraSinks(t *testing.T) {
 		lastT = ts
 		width = len(theta)
 	})
-	got, err := sim.RunSummaryTo(mTee, tEnd, nSamples, 0.1, 0.15, tap)
+	got, err := sim.RunSummary(mTee, tEnd, nSamples, 0.1, 0.15, tap)
 	if err != nil {
 		t.Fatal(err)
 	}

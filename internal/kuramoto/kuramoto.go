@@ -144,32 +144,16 @@ func (m *Model) Run(tEnd float64, nSamples int) (*Result, error) {
 
 // OrderTimeline returns r(t) at every sample.
 func (r *Result) OrderTimeline() []float64 {
-	out := make([]float64, len(r.Theta))
-	for k, th := range r.Theta {
-		out[k], _ = stats.OrderParameter(th)
-	}
-	return out
+	acc := &sim.OrderAccumulator{KeepTimeline: true, Timeline: make([]float64, 0, len(r.Theta))}
+	sim.Replay(r.Ts, r.Theta, acc)
+	return acc.Timeline
 }
 
 // AsymptoticOrder averages r(t) over the final fraction of the run.
 func (r *Result) AsymptoticOrder(finalFraction float64) float64 {
-	n := len(r.Theta)
-	if n == 0 {
-		return 0
-	}
-	start := n - int(float64(n)*finalFraction)
-	if start < 0 {
-		start = 0
-	}
-	if start >= n {
-		start = n - 1
-	}
-	var sum float64
-	for k := start; k < n; k++ {
-		rk, _ := stats.OrderParameter(r.Theta[k])
-		sum += rk
-	}
-	return sum / float64(n-start)
+	acc := &sim.OrderAccumulator{FinalFraction: sim.MaterializedFraction(finalFraction)}
+	sim.Replay(r.Ts, r.Theta, acc)
+	return acc.Asymptotic()
 }
 
 // SweepPoint is one (K, r∞) sample of the synchronization transition.
@@ -203,8 +187,11 @@ func SweepCoupling(base Config, ks []float64, tEnd float64) ([]SweepPoint, error
 
 // PhaseSlips counts events where an oscillator's phase distance to the
 // mean phase grows past 2π — the slips that the paper's non-periodic
-// potentials forbid but the sine coupling allows. The count is computed
-// by CountSlipsRows (mean-field drift removed: increments are compared
-// against the ensemble mean), which the streaming SlipCounter reproduces
-// bitwise without the materialized trajectory.
-func (r *Result) PhaseSlips() int { return CountSlipsRows(r.Theta) }
+// potentials forbid but the sine coupling allows. The count replays the
+// trajectory through a SlipCounter (mean-field drift removed: increments
+// are compared against the ensemble mean).
+func (r *Result) PhaseSlips() int {
+	var counter SlipCounter
+	sim.Replay(r.Ts, r.Theta, &counter)
+	return counter.Slips()
+}

@@ -155,8 +155,8 @@ func TestNewRejectsNonFiniteParameters(t *testing.T) {
 
 // TestRunStreamMatchesRun pins the unified-runtime port: the rows
 // streamed through sim.RunStream are bit-for-bit the rows Run
-// materializes, and the shared OrderAccumulator reproduces
-// AsymptoticOrder exactly.
+// materializes, and the shared OrderAccumulator reproduces the
+// materialized AsymptoticOrder loop exactly.
 func TestRunStreamMatchesRun(t *testing.T) {
 	cfg := Config{N: 40, K: 1.2, FreqMean: 0, FreqStd: 1, Seed: 9, SpreadInitial: true}
 	m, err := New(cfg)
@@ -190,8 +190,40 @@ func TestRunStreamMatchesRun(t *testing.T) {
 	if k != len(res.Ts) {
 		t.Fatalf("streamed %d rows, materialized %d", k, len(res.Ts))
 	}
-	want := res.AsymptoticOrder(0.25)
+	want := oracleAsymptoticOrder(res, 0.25)
 	if got := order.Asymptotic(); math.Float64bits(got) != math.Float64bits(want) {
 		t.Errorf("streamed r∞ = %v, materialized %v (must be bitwise equal)", got, want)
+	}
+}
+
+// TestMaterializedMetricsMatchOracles pins AsymptoticOrder and
+// PhaseSlips (replays through OrderAccumulator and SlipCounter) bit for
+// bit against their oracle loops — across the window edges
+// finalFraction 0 (the materialized last-sample window, not the
+// accumulator's default), negative, exactly 1 and above 1, on the full
+// run and on truncations to zero, one and two samples.
+func TestMaterializedMetricsMatchOracles(t *testing.T) {
+	m, err := New(Config{N: 12, K: 0.4, FreqStd: 1, Seed: 11, SpreadInitial: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := m.Run(40, 161)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{0, 1, 2, len(full.Ts)} {
+		res := &Result{Ts: full.Ts[:k], Theta: full.Theta[:k]}
+		for _, ff := range []float64{0, -0.5, 1, 1.5, 0.25} {
+			got, want := res.AsymptoticOrder(ff), oracleAsymptoticOrder(res, ff)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("samples=%d ff=%v: AsymptoticOrder %v, oracle %v", k, ff, got, want)
+			}
+		}
+		if got, want := res.PhaseSlips(), countSlipsRows(res.Theta); got != want {
+			t.Errorf("samples=%d: PhaseSlips %d, oracle %d", k, got, want)
+		}
+	}
+	if full.PhaseSlips() == 0 {
+		t.Error("subcritical run produced no slips; the slip comparison pins nothing")
 	}
 }

@@ -6,49 +6,13 @@ import (
 	"repro/internal/mathx"
 )
 
-// CountSlipsRows counts phase-slip events over materialized trajectory
-// rows: for each oscillator, the drift-corrected phase increment
-// (θ_i(t_k) − θ_i(t_{k−1})) − (θ̄(t_k) − θ̄(t_{k−1})) is accumulated, and
-// every excursion past 2π counts one slip and resets the accumulator.
-// This is the reference implementation the streaming SlipCounter is
-// pinned against bitwise; Result.PhaseSlips delegates here.
-func CountSlipsRows(rows [][]float64) int {
-	if len(rows) == 0 {
-		return 0
-	}
-	// The ensemble means are oscillator-independent; hoisting them out of
-	// the per-oscillator loop is bitwise-neutral (same values, same
-	// per-oscillator accumulation order) and turns the pass from
-	// O(n²·samples) into O(n·samples).
-	means := make([]float64, len(rows))
-	for k, row := range rows {
-		means[k] = mathx.Mean(row)
-	}
-	n := len(rows[0])
-	slips := 0
-	for i := 0; i < n; i++ {
-		var acc float64
-		prev := rows[0][i]
-		for k := 1; k < len(rows); k++ {
-			cur := rows[k][i]
-			acc += (cur - prev) - (means[k] - means[k-1])
-			if math.Abs(acc) >= mathx.TwoPi {
-				slips++
-				acc = 0
-			}
-			prev = cur
-		}
-	}
-	return slips
-}
-
 // SlipCounter counts phase slips and measures per-oscillator drift
-// online — the streaming counterpart of Result.PhaseSlips that needs no
-// materialized trajectory, so million-point Kuramoto sweeps can count
-// slips in O(N) memory. It implements sim.Sink; the slip total is
-// bit-for-bit CountSlipsRows (and hence Result.PhaseSlips) on the same
-// sample rows: per oscillator the same drift-corrected increments are
-// accumulated in the same order, against the same ensemble means.
+// online, with no materialized trajectory, so million-point Kuramoto
+// sweeps can count slips in O(N) memory; Result.PhaseSlips replays a
+// materialized run through it. It implements sim.Sink: per oscillator it
+// accumulates the drift-corrected phase increment
+// (θ_i(t_k) − θ_i(t_{k−1})) − (θ̄(t_k) − θ̄(t_{k−1})), and every
+// excursion past 2π counts one slip and resets the accumulator.
 type SlipCounter struct {
 	n     int
 	k     int

@@ -12,7 +12,7 @@ import (
 )
 
 // TestSlipCounterMatchesPhaseSlips pins the streaming slip counter
-// bitwise against the materialized Result.PhaseSlips on a subcritical
+// bitwise against the materialized slip loop on a subcritical
 // Kuramoto run where drifting oscillators actually slip.
 func TestSlipCounterMatchesPhaseSlips(t *testing.T) {
 	cfg := Config{N: 10, K: 0.4, FreqMean: 0, FreqStd: 1, Seed: 11, SpreadInitial: true}
@@ -36,7 +36,7 @@ func TestSlipCounterMatchesPhaseSlips(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want := res.PhaseSlips()
+	want := countSlipsRows(res.Theta)
 	if want == 0 {
 		t.Fatal("test run produced no slips; pick stronger drift parameters")
 	}
@@ -124,7 +124,7 @@ func slipPOMConfig(t *testing.T, dde bool, workers int) core.Config {
 
 // TestSlipCounterMatchesRowsPOM pins the counter on a different family
 // and both solver paths: for the POM at Workers = 1 and 4, ODE and DDE,
-// the streamed slip count equals CountSlipsRows over the materialized
+// the streamed slip count equals countSlipsRows over the materialized
 // rows of an identical model — the sink is family-agnostic.
 func TestSlipCounterMatchesRowsPOM(t *testing.T) {
 	const tEnd, nSamples = 90.0, 181
@@ -156,7 +156,7 @@ func TestSlipCounterMatchesRowsPOM(t *testing.T) {
 			if _, err := sim.RunStream(mStr, tEnd, nSamples, counter); err != nil {
 				t.Fatal(err)
 			}
-			if want := CountSlipsRows(res.Theta); counter.Slips() != want {
+			if want := countSlipsRows(res.Theta); counter.Slips() != want {
 				t.Fatalf("streamed slips = %d, rows reference = %d", counter.Slips(), want)
 			}
 		})

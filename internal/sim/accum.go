@@ -8,10 +8,8 @@ import (
 	"repro/internal/stats"
 )
 
-// finalWindow replicates the asymptotic-window start index used by the
-// materialized report paths (core.Result.AsymptoticSpread and friends):
-// the last finalFraction of n samples, clamped to at least the final
-// sample.
+// finalWindow returns the start index of the asymptotic window: the last
+// finalFraction of n samples, clamped to at least the final sample.
 func finalWindow(n int, finalFraction float64) int {
 	start := n - int(float64(n)*finalFraction)
 	if start < 0 {
@@ -23,10 +21,24 @@ func finalWindow(n int, finalFraction float64) int {
 	return start
 }
 
+// MaterializedFraction converts the finalFraction of a materialized
+// Result method to the accumulator FinalFraction that selects the same
+// window. The accumulators read 0 as their default window; the Result
+// methods read it as the shortest one (the final sample, or the final
+// two for frequency locking). The smallest positive fraction selects
+// that shortest window: n·fraction truncates to 0 for every n.
+func MaterializedFraction(finalFraction float64) float64 {
+	if finalFraction == 0 {
+		return math.SmallestNonzeroFloat64
+	}
+	return finalFraction
+}
+
 // SpreadAccumulator computes the phase-spread metrics of a run online:
-// per-sample it evaluates the same stats.PhaseSpread as the materialized
-// SpreadTimeline, and its Asymptotic value reproduces AsymptoticSpread
-// bit-for-bit (same additions in the same order).
+// the per-sample stats.PhaseSpread, its final and largest value, and its
+// mean over the final window. The materialized SpreadTimeline and
+// AsymptoticSpread of core.Result (and continuum.Result.SpreadTimeline)
+// replay their rows through it.
 type SpreadAccumulator struct {
 	// FinalFraction sets the asymptotic averaging window; 0 means 0.15
 	// (the window the report paths use).
@@ -78,8 +90,7 @@ func (a *SpreadAccumulator) Final() float64 { return a.final }
 // Max returns the largest spread seen.
 func (a *SpreadAccumulator) Max() float64 { return a.max }
 
-// Asymptotic returns the mean spread over the final window — equal to
-// AsymptoticSpread(FinalFraction) on the same materialized run.
+// Asymptotic returns the mean spread over the final window.
 func (a *SpreadAccumulator) Asymptotic() float64 {
 	if a.k <= a.start {
 		return 0
@@ -87,10 +98,10 @@ func (a *SpreadAccumulator) Asymptotic() float64 {
 	return a.sum / float64(a.k-a.start)
 }
 
-// OrderAccumulator computes the Kuramoto order parameter r(t) online —
-// per-sample identical to the materialized OrderTimeline, and its
-// Asymptotic value reproduces kuramoto.Result.AsymptoticOrder
-// bit-for-bit (same additions in the same order over the same window).
+// OrderAccumulator computes the Kuramoto order parameter r(t) online:
+// per sample, its final and lowest value, and its mean over the final
+// window. The materialized OrderTimeline and kuramoto.Result.
+// AsymptoticOrder replay their rows through it.
 type OrderAccumulator struct {
 	// FinalFraction sets the asymptotic averaging window; 0 means 0.15.
 	FinalFraction float64
@@ -158,8 +169,8 @@ func (a *OrderAccumulator) Asymptotic() float64 {
 
 // ResyncDetector finds the resynchronization time online: the first sample
 // time at which the phase spread drops below Eps and stays below it for
-// the rest of the run — exactly the materialized ResyncTime(Eps), computed
-// forward by tracking the start of the current below-Eps run.
+// the rest of the run, computed forward by tracking the start of the
+// current below-Eps run. core.Result.ResyncTime replays through it.
 type ResyncDetector struct {
 	// Eps is the spread threshold (the report paths use 0.1).
 	Eps float64
@@ -190,7 +201,7 @@ func (d *ResyncDetector) ResyncTime() (float64, error) {
 }
 
 // GapAccumulator time-averages the adjacent phase gaps θ_{i+1} − θ_i over
-// the final window — bit-for-bit the materialized AsymptoticGaps.
+// the final window; core.Result.AsymptoticGaps replays through it.
 type GapAccumulator struct {
 	// FinalFraction sets the averaging window; 0 means 0.15.
 	FinalFraction float64
@@ -257,13 +268,12 @@ func (a *GapAccumulator) MeanAbsGap() float64 {
 	return sum / float64(len(gaps))
 }
 
-// LockAccumulator decides asymptotic frequency locking online — the
-// streaming counterpart of core.Result.FrequencyLocked, retaining only
-// the window-start row and the final row instead of the trajectory. The
-// mean frequency of each component over the final window is the secant
-// (y(t_end) − y(t_start)) / Δt; the system is locked when the frequency
-// range is within a relative tolerance of its midpoint. Locked(tol)
-// reproduces FrequencyLocked(FinalFraction, tol) on the same run exactly.
+// LockAccumulator decides asymptotic frequency locking online, retaining
+// only the window-start row and the final row instead of the trajectory.
+// The mean frequency of each component over the final window is the
+// secant (y(t_end) − y(t_start)) / Δt; the system is locked when the
+// frequency range is within a relative tolerance of its midpoint.
+// core.Result.FrequencyLocked replays through it.
 type LockAccumulator struct {
 	// FinalFraction sets the averaging window; 0 means 0.2 (the report
 	// default).
@@ -282,8 +292,8 @@ func (a *LockAccumulator) Begin(n, nSamples int) {
 	if ff == 0 {
 		ff = 0.2
 	}
-	// FrequencyLocked clamps the window start to n−2 so the secant always
-	// spans at least one sample interval (finalWindow clamps to n−1).
+	// The window start clamps to n−2 so the secant always spans at least
+	// one sample interval (finalWindow clamps to n−1).
 	a.start = nSamples - int(float64(nSamples)*ff)
 	if a.start < 0 {
 		a.start = 0
@@ -359,19 +369,16 @@ type Summary struct {
 
 // RunSummary streams a run through the standard accumulator set and
 // returns the O(N) summary. resyncEps 0 selects 0.1 and finalFraction 0
-// selects 0.15 — the thresholds the materialized report paths use. It
-// works for any System: a Kuramoto coupling scan and a continuum
-// relaxation study summarize through exactly the code path the POM uses.
-func RunSummary(sys System, tEnd float64, nSamples int, resyncEps, finalFraction float64) (*Summary, error) {
-	return RunSummaryTo(sys, tEnd, nSamples, resyncEps, finalFraction)
-}
-
-// RunSummaryTo is RunSummary with extra sinks teed into the same single
-// pass over the sample stream — the hook archive-mode sweeps use to
-// persist the full trajectory (an archive.RecordWriter is a Sink) while
-// the standard summary accumulates. The extra sinks see exactly the
-// rows the accumulators see, in the same order.
-func RunSummaryTo(sys System, tEnd float64, nSamples int, resyncEps, finalFraction float64, extra ...Sink) (*Summary, error) {
+// selects 0.15 — the thresholds the report paths use. It works for any
+// System: a Kuramoto coupling scan and a continuum relaxation study
+// summarize through exactly the code path the POM uses.
+//
+// Extra sinks are teed into the same single pass over the sample stream
+// — the hook archive-mode sweeps use to persist the full trajectory (an
+// archive.RecordWriter is a Sink) while the standard summary
+// accumulates. They see exactly the rows the accumulators see, in the
+// same order.
+func RunSummary(sys System, tEnd float64, nSamples int, resyncEps, finalFraction float64, extra ...Sink) (*Summary, error) {
 	if resyncEps == 0 {
 		resyncEps = 0.1
 	}

@@ -31,13 +31,14 @@
 // Sink from reused buffers, so memory is independent of the sample
 // count. The accumulator sinks (SpreadAccumulator, OrderAccumulator,
 // ResyncDetector, GapAccumulator, LockAccumulator) reduce a stream to
-// O(N) summaries pinned bit-for-bit against their materialized
-// counterparts; RunSummary / RunSummaryTo bundle them into the standard
-// Summary, optionally teeing extra sinks (an archive.RecordWriter, a
-// continuum.FrontTracker, a kuramoto.SlipCounter) into the same single
-// pass. Bitwise determinism is the load-bearing invariant: streamed rows
-// equal materialized rows, parallel right-hand sides equal serial ones,
-// and resumed archives equal uninterrupted ones.
+// O(N) summaries; they are each metric's only implementation, since the
+// materialized Result metrics Replay their rows through them. RunSummary
+// bundles them into the standard Summary, optionally teeing extra sinks
+// (an archive.RecordWriter, a continuum.FrontTracker, a
+// kuramoto.SlipCounter) into the same single pass. Bitwise determinism
+// is the load-bearing invariant: streamed rows equal materialized rows,
+// parallel right-hand sides equal serial ones, and resumed archives
+// equal uninterrupted ones.
 //
 // # Parallelism
 //

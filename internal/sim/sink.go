@@ -44,3 +44,19 @@ func (ms multiSink) Sample(t float64, y []float64) {
 // Tee combines several sinks into one that replays every row to each, in
 // order — the standard way to run multiple accumulators over one pass.
 func Tee(sinks ...Sink) Sink { return multiSink(sinks) }
+
+// Replay drives sink over materialized rows: Begin with the width of the
+// first row (0 when there are no rows) and len(rows), then one Sample per
+// row at ts[k]. The materialized Result metrics of every family are
+// replays through their streaming sinks, so each metric has exactly one
+// implementation.
+func Replay(ts []float64, rows [][]float64, sink Sink) {
+	n := 0
+	if len(rows) > 0 {
+		n = len(rows[0])
+	}
+	sink.Begin(n, len(rows))
+	for k, row := range rows {
+		sink.Sample(ts[k], row)
+	}
+}

@@ -24,7 +24,7 @@ func kuramotoPoint(_ context.Context, _ int, params []float64, rec *archive.Reco
 	if err != nil {
 		return err
 	}
-	sum, err := sim.RunSummaryTo(m, 6, 25, 0, 0, rec)
+	sum, err := sim.RunSummary(m, 6, 25, 0, 0, rec)
 	if err != nil {
 		return err
 	}

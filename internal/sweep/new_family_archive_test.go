@@ -22,7 +22,7 @@ func specPoint(mk func(p float64) *scenario.Spec) ArchivePointFunc {
 		if err != nil {
 			return err
 		}
-		sum, err := sim.RunSummaryTo(sys, tEnd, nSamples, 0, 0, rec)
+		sum, err := sim.RunSummary(sys, tEnd, nSamples, 0, 0, rec)
 		if err != nil {
 			return err
 		}
