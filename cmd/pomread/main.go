@@ -30,9 +30,10 @@
 // -merge, -compare, and -missing are the read-side half of the
 // distributed sweeps (internal/dsweep): merge compacts a fleet's
 // per-worker shards into a canonical layout (ascending point order,
-// fixed shard packing, records re-encoded with -merge-codec — two
-// merges of the same records are identical file-for-file even when the
-// sources mix codecs, the chaos-test invariant), compare verifies two
+// fixed shard packing, records written in -merge-codec: copied when
+// already canonical in it, re-encoded otherwise — two merges of the
+// same records are identical file-for-file even when the sources mix
+// codecs, the chaos-test invariant), compare verifies two
 // archives hold bitwise-identical records regardless of shard layout
 // or codec, and missing reports sweep coverage.
 package main

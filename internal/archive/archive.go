@@ -135,6 +135,7 @@ type Writer struct {
 	ents  []indexEntry
 	rec   *RecordWriter // open record, if any
 	buf   []byte        // encoding scratch
+	frame []byte        // Copy's record-frame scratch
 	codec Codec         // resolved record codec (CodecRaw or CodecDelta)
 	// Per-column predictor state for CodecDelta, sized by
 	// RecordWriter.Begin so Sample never allocates (prev[0] is the time
@@ -301,14 +302,8 @@ func f64s(buf []byte, vs []float64) []byte {
 // open at a time; it must be sealed with Finish (or undone with
 // Rollback) before the next Begin or Close.
 func (w *Writer) Begin(index uint64, params []float64) (*RecordWriter, error) {
-	if w.state != writerOpen {
-		return nil, errors.New("archive: writer is closed")
-	}
-	if w.werr != nil {
-		return nil, fmt.Errorf("archive: %w", w.werr)
-	}
-	if w.rec != nil {
-		return nil, fmt.Errorf("archive: record %d still open", w.rec.index)
+	if err := w.idle(); err != nil {
+		return nil, err
 	}
 	rw := &RecordWriter{w: w, index: index, frameOff: w.off}
 	w.buf = u32(w.buf[:0], recordMagic)
@@ -324,6 +319,21 @@ func (w *Writer) Begin(index uint64, params []float64) (*RecordWriter, error) {
 	rw.write(w.buf)
 	w.rec = rw
 	return rw, nil
+}
+
+// idle reports why no record can start now: a closed writer, a sticky
+// write error, or a record still open.
+func (w *Writer) idle() error {
+	if w.state != writerOpen {
+		return errors.New("archive: writer is closed")
+	}
+	if w.werr != nil {
+		return fmt.Errorf("archive: %w", w.werr)
+	}
+	if w.rec != nil {
+		return fmt.Errorf("archive: record %d still open", w.rec.index)
+	}
+	return nil
 }
 
 // Append writes a whole decoded record through the streaming path, so
@@ -352,17 +362,9 @@ func (w *Writer) Rollback(rec *RecordWriter) error {
 	if w.state != writerOpen || rec == nil || rec.w != w {
 		return nil
 	}
-	if err := w.bw.Flush(); err != nil {
-		return fmt.Errorf("archive: %w", err)
+	if err := w.truncate(rec.frameOff); err != nil {
+		return err
 	}
-	if err := w.f.Truncate(rec.frameOff); err != nil {
-		return fmt.Errorf("archive: %w", err)
-	}
-	if _, err := w.f.Seek(rec.frameOff, 0); err != nil {
-		return fmt.Errorf("archive: %w", err)
-	}
-	w.bw.Reset(w.f)
-	w.off = rec.frameOff
 	if rec.sealed {
 		if n := len(w.ents); n > 0 && w.ents[n-1].index == rec.index {
 			w.ents = w.ents[:n-1]
@@ -371,12 +373,28 @@ func (w *Writer) Rollback(rec *RecordWriter) error {
 	if w.rec == rec {
 		w.rec = nil
 	}
-	// The truncate removed whatever a poisoned write left behind, so a
-	// sticky write error is healed here: the shard is byte-identical to
-	// one that never saw the failed record, and the writer can go on.
-	w.werr = nil
 	rec.sealed = false
 	rec.err = errors.New("archive: record rolled back")
+	return nil
+}
+
+// truncate cuts the shard back to off, the start of a record frame.
+// The truncate removes whatever a poisoned write left behind, so a
+// sticky write error is healed here: the shard is byte-identical to
+// one that never saw the failed record, and the writer can go on.
+func (w *Writer) truncate(off int64) error {
+	if err := w.bw.Flush(); err != nil {
+		return fmt.Errorf("archive: %w", err)
+	}
+	if err := w.f.Truncate(off); err != nil {
+		return fmt.Errorf("archive: %w", err)
+	}
+	if _, err := w.f.Seek(off, 0); err != nil {
+		return fmt.Errorf("archive: %w", err)
+	}
+	w.bw.Reset(w.f)
+	w.off = off
+	w.werr = nil
 	return nil
 }
 
@@ -548,9 +566,10 @@ func (rw *RecordWriter) Begin(n, nSamples int) {
 	// per-row Sample path never regrows a buffer mid-record: the shared
 	// byte scratch is held at the worst-case row encoding (uvarint needs
 	// at most MaxVarintLen64 bytes per column, raw rows need 8), and the
-	// delta predictor columns are (re)sized once per record.
+	// delta predictor columns are (re)sized once per record. A record
+	// without rows never calls Sample, so its width sizes nothing.
 	cols := 1 + n
-	if need := cols * binary.MaxVarintLen64; cap(w.buf) < need {
+	if need := cols * binary.MaxVarintLen64; nSamples > 0 && cap(w.buf) < need {
 		w.buf = make([]byte, 0, need)
 	}
 	if w.codec == CodecDelta && nSamples > 0 {

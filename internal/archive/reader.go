@@ -141,11 +141,26 @@ func (s *Shard) Indices() []uint64 {
 // data exactly when their ReadRaw payloads match; for comparisons that
 // must span codecs or format generations use ReadCanonical.
 func (s *Shard) ReadRaw(k int) ([]byte, error) {
+	frame, err := s.readFrame(k, nil)
+	if err != nil {
+		return nil, err
+	}
+	return framePayload(frame), nil
+}
+
+// readFrame reads the k-th record's whole frame (magic, length,
+// payload, CRC) into buf, reallocating only when buf is too small,
+// and verifies the frame against the index and the payload CRC.
+func (s *Shard) readFrame(k int, buf []byte) ([]byte, error) {
 	if k < 0 || k >= len(s.ents) {
 		return nil, fmt.Errorf("archive: record %d out of range [0, %d)", k, len(s.ents))
 	}
 	e := s.ents[k]
-	frame := make([]byte, 8+int(e.length)+4)
+	n := 8 + int(e.length) + 4
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	frame := buf[:n]
 	if _, err := s.f.ReadAt(frame, e.off); err != nil {
 		return nil, s.corrupt("record %d: %v", e.index, err)
 	}
@@ -155,13 +170,15 @@ func (s *Shard) ReadRaw(k int) ([]byte, error) {
 	if binary.LittleEndian.Uint32(frame[4:8]) != e.length {
 		return nil, s.corrupt("record %d: frame length disagrees with index", e.index)
 	}
-	payload := frame[8 : 8+e.length]
 	wantCRC := binary.LittleEndian.Uint32(frame[8+e.length:])
-	if crc32.Checksum(payload, castagnoli) != wantCRC {
+	if crc32.Checksum(framePayload(frame), castagnoli) != wantCRC {
 		return nil, s.corrupt("record %d: payload checksum mismatch", e.index)
 	}
-	return payload, nil
+	return frame, nil
 }
+
+// framePayload returns the payload section of a verified record frame.
+func framePayload(frame []byte) []byte { return frame[8 : len(frame)-4] }
 
 // Read decodes the k-th record of the shard.
 func (s *Shard) Read(k int) (*Record, error) {
@@ -169,6 +186,11 @@ func (s *Shard) Read(k int) (*Record, error) {
 	if err != nil {
 		return nil, err
 	}
+	return s.decode(k, payload)
+}
+
+// decode decodes the k-th record's verified payload.
+func (s *Shard) decode(k int, payload []byte) (*Record, error) {
 	rec, err := decodePayload(payload, s.version)
 	if err != nil {
 		return nil, s.corrupt("record %d: %v", s.ents[k].index, err)
@@ -195,9 +217,9 @@ func (s *Shard) ReadCanonical(k int) ([]byte, error) {
 	if payload[0] == codecByteRaw {
 		return payload[1:], nil
 	}
-	rec, err := decodePayload(payload, s.version)
+	rec, err := s.decode(k, payload)
 	if err != nil {
-		return nil, s.corrupt("record %d: %v", s.ents[k].index, err)
+		return nil, err
 	}
 	return appendRawPayload(nil, rec), nil
 }
@@ -493,33 +515,42 @@ func (a *Archive) Indices() []uint64 {
 	return out
 }
 
-// Read decodes the record of point index.
-func (a *Archive) Read(index uint64) (*Record, error) {
+// lookup locates the record of point index.
+func (a *Archive) lookup(index uint64) (*Shard, int, error) {
 	loc, ok := a.locs[index]
 	if !ok {
-		return nil, fmt.Errorf("archive: point %d not archived", index)
+		return nil, 0, fmt.Errorf("archive: point %d not archived", index)
 	}
-	return a.shards[loc.shard].Read(loc.slot)
+	return a.shards[loc.shard], loc.slot, nil
+}
+
+// Read decodes the record of point index.
+func (a *Archive) Read(index uint64) (*Record, error) {
+	s, k, err := a.lookup(index)
+	if err != nil {
+		return nil, err
+	}
+	return s.Read(k)
 }
 
 // ReadRaw returns the CRC-verified payload bytes of point index (see
 // Shard.ReadRaw).
 func (a *Archive) ReadRaw(index uint64) ([]byte, error) {
-	loc, ok := a.locs[index]
-	if !ok {
-		return nil, fmt.Errorf("archive: point %d not archived", index)
+	s, k, err := a.lookup(index)
+	if err != nil {
+		return nil, err
 	}
-	return a.shards[loc.shard].ReadRaw(loc.slot)
+	return s.ReadRaw(k)
 }
 
 // ReadCanonical returns the canonical (codec-independent) payload bytes
 // of point index (see Shard.ReadCanonical).
 func (a *Archive) ReadCanonical(index uint64) ([]byte, error) {
-	loc, ok := a.locs[index]
-	if !ok {
-		return nil, fmt.Errorf("archive: point %d not archived", index)
+	s, k, err := a.lookup(index)
+	if err != nil {
+		return nil, err
 	}
-	return a.shards[loc.shard].ReadCanonical(loc.slot)
+	return s.ReadCanonical(k)
 }
 
 // Iter streams every archived record to fn in ascending point order,

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"os"
 	"path/filepath"
 
 	"repro/internal/archive"
@@ -32,11 +33,16 @@ type MergeStats struct {
 // When srcDir carries a distributed-sweep plan, Merge refuses to run
 // until every planned point is present, so a half-finished sweep can
 // never masquerade as a complete canonical archive. dstDir must not
-// already contain shards.
+// already contain shards, and a failed merge removes the shards it
+// committed, so dstDir never holds a partial canonical archive.
 //
-// Merge writes the archive default codec (delta); it re-encodes as it
-// goes, so the file-for-file guarantee holds even when the sources mix
-// record generations. MergeWith chooses the output codec explicitly.
+// Merge writes the archive default codec (delta). Each record goes
+// through archive.Writer.Copy: a record already stored in canonical
+// form in the output codec moves as its checked bytes, and any other
+// record (POMARC1, another codec, a non-canonical encoding) is decoded
+// and re-encoded. So the file-for-file guarantee holds even when the
+// sources mix record generations. MergeWith chooses the output codec
+// explicitly.
 func Merge(srcDir, dstDir string, perShard int) (MergeStats, error) {
 	return MergeWith(srcDir, dstDir, perShard, archive.CodecDefault)
 }
@@ -72,32 +78,39 @@ func MergeWith(srcDir, dstDir string, perShard int, codec archive.Codec) (MergeS
 	}
 	indices := src.Indices()
 	for lo := 0; lo < len(indices); lo += perShard {
-		hi := lo + perShard
-		if hi > len(indices) {
-			hi = len(indices)
-		}
-		w, err := archive.CreateWith(dstDir, stats.Shards, codec)
-		if err != nil {
-			return stats, fmt.Errorf("dsweep: %w", err)
-		}
-		for _, idx := range indices[lo:hi] {
-			rec, err := src.Read(idx)
-			if err != nil {
-				_ = w.Abort()
-				return stats, fmt.Errorf("dsweep: %w", err)
+		hi := min(lo+perShard, len(indices))
+		if err := mergeShard(src, indices[lo:hi], dstDir, stats.Shards, codec); err != nil {
+			// dstDir held no shards on entry, so every shard up to this
+			// one is this call's; a Close that failed after its rename
+			// committed this one too.
+			for id := 0; id <= stats.Shards; id++ {
+				_ = os.Remove(archive.ShardPath(dstDir, id)) // best effort: the merge error is the one to report
 			}
-			if err := w.Append(rec); err != nil {
-				_ = w.Abort()
-				return stats, fmt.Errorf("dsweep: %w", err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			return stats, fmt.Errorf("dsweep: sealing merged shard: %w", err)
+			return MergeStats{}, err
 		}
 		stats.Shards++
 	}
 	stats.Points = len(indices)
 	return stats, nil
+}
+
+// mergeShard writes the records of indices, in order, as shard id of
+// dstDir.
+func mergeShard(src *archive.Archive, indices []uint64, dstDir string, id int, codec archive.Codec) error {
+	w, err := archive.CreateWith(dstDir, id, codec)
+	if err != nil {
+		return fmt.Errorf("dsweep: %w", err)
+	}
+	for _, idx := range indices {
+		if err := w.Copy(src, idx); err != nil {
+			_ = w.Abort()
+			return fmt.Errorf("dsweep: %w", err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		return fmt.Errorf("dsweep: sealing merged shard: %w", err)
+	}
+	return nil
 }
 
 // Missing returns the point indices of 0..n-1 absent from the archive
