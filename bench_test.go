@@ -504,13 +504,18 @@ func BenchmarkAblationSolver(b *testing.B) {
 	b.Run("dopri5", func(b *testing.B) {
 		b.ReportAllocs()
 		var evals float64
+		opt := ode.SolveOptions{
+			SampleAt:   func(int) float64 { return 50 },
+			NSamples:   1,
+			SampleFunc: func(float64, []float64) {},
+		}
 		for i := 0; i < b.N; i++ {
 			s := ode.NewDOPRI5(1e-8, 1e-8)
-			res, err := s.Solve(rhs, y0, 0, 50, ode.SolveOptions{SampleTs: []float64{50}})
+			st, err := s.Solve(rhs, y0, 0, 50, opt)
 			if err != nil {
 				b.Fatal(err)
 			}
-			evals = float64(res.Stats.Evals)
+			evals = float64(st.Evals)
 		}
 		b.ReportMetric(evals, "rhs-evals")
 	})

@@ -256,7 +256,11 @@ func TestSolveStreamMatchesSolve(t *testing.T) {
 	}
 	spread := &sim.SpreadAccumulator{KeepTimeline: true}
 	k := 0
-	_, err = f.SolveStream(theta0, 12, 25, sim.Tee(spread, sim.SinkFunc(func(tt float64, y []float64) {
+	sys, err := f.System(theta0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sim.RunStream(sys, 12, 25, sim.Tee(spread, sim.SinkFunc(func(tt float64, y []float64) {
 		if math.Float64bits(tt) != math.Float64bits(res.Ts[k]) {
 			t.Fatalf("sample %d time %v differs from materialized %v", k, tt, res.Ts[k])
 		}

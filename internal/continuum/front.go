@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -37,71 +38,22 @@ func frontPosition(g Grid, th []float64, eps float64) float64 {
 	return math.NaN()
 }
 
-// measureFront fits the detected front positions against time and fills
-// in the Front summary. It is the single fit implementation behind both
-// the materialized and the streaming paths, which is what makes the two
-// bitwise-identical.
-func measureFront(ts, positions []float64) (Front, error) {
-	f := Front{Ts: ts, Positions: positions}
-	var xs, ys []float64
-	for k, p := range positions {
-		if math.IsNaN(p) {
-			continue
-		}
-		xs = append(xs, ts[k])
-		ys = append(ys, p)
-		f.Detected++
-	}
-	if len(xs) < 3 {
-		return f, errors.New("continuum: front detected in fewer than 3 samples")
-	}
-	fit, err := stats.FitLine(xs, ys)
-	if err != nil {
-		return f, err
-	}
-	f.Velocity = fit.Slope
-	f.Speed = math.Abs(fit.Slope)
-	f.R2 = fit.R2
-	return f, nil
-}
-
-// MeasureFrontRows measures the front over materialized sample rows on
-// the given grid: per row the rightmost steep forward pair (threshold
-// eps; 0 selects 0.15), then a position-vs-time line fit. It is the
-// reference implementation the streaming FrontTracker is pinned against
-// bitwise, and works for any phase field rows — a POM chain measures
-// through it with a unit-spacing grid.
-func MeasureFrontRows(g Grid, ts []float64, rows [][]float64, eps float64) (Front, error) {
-	if len(ts) != len(rows) {
-		return Front{}, errors.New("continuum: ts and rows length mismatch")
-	}
-	if eps <= 0 {
-		eps = 0.15
-	}
-	positions := make([]float64, len(rows))
-	for k, th := range rows {
-		positions[k] = frontPosition(g, th, eps)
-	}
-	return measureFront(append([]float64(nil), ts...), positions)
-}
-
 // FrontTimeline returns the per-sample front position of the result
 // (NaN where no gap exceeds eps; 0 selects 0.15).
 func (r *Result) FrontTimeline(eps float64) []float64 {
-	if eps <= 0 {
-		eps = 0.15
-	}
-	out := make([]float64, len(r.Theta))
-	for k, th := range r.Theta {
-		out[k] = frontPosition(r.Grid, th, eps)
-	}
-	return out
+	f, _ := r.MeasureFront(eps)
+	return f.Positions
 }
 
 // MeasureFront measures the computational wavefront of a materialized
-// continuum result — see MeasureFrontRows.
+// continuum result: per sample the rightmost steep forward pair
+// (threshold eps; 0 selects 0.15), then a position-vs-time line fit. It
+// replays the rows through a FrontTracker, the metric's one
+// implementation.
 func (r *Result) MeasureFront(eps float64) (Front, error) {
-	return MeasureFrontRows(r.Grid, r.Ts, r.Theta, eps)
+	tr := &FrontTracker{Grid: r.Grid, Eps: eps}
+	sim.Replay(r.Ts, r.Theta, tr)
+	return tr.Finish()
 }
 
 // FrontTracker measures the continuum wavefront online — the streaming
@@ -149,14 +101,34 @@ func (f *FrontTracker) Sample(t float64, theta []float64) {
 	f.pos = append(f.pos, frontPosition(f.Grid, theta, eps))
 }
 
-// Finish fits the accumulated front positions and returns the Front that
-// MeasureFrontRows computes on the materialized rows.
+// Finish fits the accumulated front positions against time and returns
+// the Front (with the per-sample positions also on error).
 func (f *FrontTracker) Finish() (Front, error) {
 	if f.width != f.Grid.M {
 		return Front{}, errors.New("continuum: stream width does not match tracker grid")
 	}
-	return measureFront(
-		append([]float64(nil), f.ts...),
-		append([]float64(nil), f.pos...),
-	)
+	fr := Front{
+		Ts:        append([]float64(nil), f.ts...),
+		Positions: append([]float64(nil), f.pos...),
+	}
+	var xs, ys []float64
+	for k, p := range fr.Positions {
+		if math.IsNaN(p) {
+			continue
+		}
+		xs = append(xs, fr.Ts[k])
+		ys = append(ys, p)
+		fr.Detected++
+	}
+	if len(xs) < 3 {
+		return fr, errors.New("continuum: front detected in fewer than 3 samples")
+	}
+	fit, err := stats.FitLine(xs, ys)
+	if err != nil {
+		return fr, err
+	}
+	fr.Velocity = fit.Slope
+	fr.Speed = math.Abs(fit.Slope)
+	fr.R2 = fit.R2
+	return fr, nil
 }

@@ -1,6 +1,7 @@
 package continuum
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/noise"
 	"repro/internal/potential"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/topology"
 )
 
@@ -27,9 +29,51 @@ func frontField() (*Field, []float64) {
 	return f, theta0
 }
 
+// measureFrontRows is the reference front measurement the tracker is
+// pinned against bitwise: per row the rightmost steep forward pair
+// (threshold eps; 0 selects 0.15), then a position-vs-time line fit,
+// written out independently of FrontTracker.
+func measureFrontRows(g Grid, ts []float64, rows [][]float64, eps float64) (Front, error) {
+	if eps <= 0 {
+		eps = 0.15
+	}
+	f := Front{Ts: append([]float64(nil), ts...), Positions: make([]float64, len(rows))}
+	var xs, ys []float64
+	for k, th := range rows {
+		f.Positions[k] = frontPosition(g, th, eps)
+		if !math.IsNaN(f.Positions[k]) {
+			xs = append(xs, ts[k])
+			ys = append(ys, f.Positions[k])
+			f.Detected++
+		}
+	}
+	if len(xs) < 3 {
+		return f, errors.New("continuum: front detected in fewer than 3 samples")
+	}
+	fit, err := stats.FitLine(xs, ys)
+	if err != nil {
+		return f, err
+	}
+	f.Velocity, f.Speed, f.R2 = fit.Slope, math.Abs(fit.Slope), fit.R2
+	return f, nil
+}
+
+// streamField integrates f from theta0 through sim.RunStream into sink.
+func streamField(t *testing.T, f *Field, theta0 []float64, tEnd float64, nSamples int, sink sim.Sink) {
+	t.Helper()
+	sys, err := f.System(theta0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.RunStream(sys, tEnd, nSamples, sink); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestFrontTrackerMatchesMeasureFront is the bitwise pin of the
-// streaming tracker against the materialized reference on a continuum
-// run: same per-sample positions, same fit, bit for bit.
+// streaming tracker, and of Result.MeasureFront replaying through it,
+// against the reference rows loop on a continuum run: same per-sample
+// positions, same fit, bit for bit.
 func TestFrontTrackerMatchesMeasureFront(t *testing.T) {
 	const tEnd, nSamples, eps = 30.0, 121, 0.15
 	f, theta0 := frontField()
@@ -38,15 +82,17 @@ func TestFrontTrackerMatchesMeasureFront(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := res.MeasureFront(eps)
+	want, err := measureFrontRows(f.Grid, res.Ts, res.Theta, eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed, err := res.MeasureFront(eps)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	tracker := &FrontTracker{Grid: f.Grid, Eps: eps}
-	if _, err := f.SolveStream(theta0, tEnd, nSamples, tracker); err != nil {
-		t.Fatal(err)
-	}
+	streamField(t, f, theta0, tEnd, nSamples, tracker)
 	got, err := tracker.Finish()
 	if err != nil {
 		t.Fatal(err)
@@ -59,18 +105,23 @@ func TestFrontTrackerMatchesMeasureFront(t *testing.T) {
 		t.Fatalf("positions length %d vs %d", len(got.Positions), len(want.Positions))
 	}
 	for k := range want.Positions {
-		if math.Float64bits(got.Positions[k]) != math.Float64bits(want.Positions[k]) {
-			t.Fatalf("position %d: %v vs %v", k, got.Positions[k], want.Positions[k])
+		if math.Float64bits(got.Positions[k]) != math.Float64bits(want.Positions[k]) ||
+			math.Float64bits(replayed.Positions[k]) != math.Float64bits(want.Positions[k]) {
+			t.Fatalf("position %d: streamed %v, replayed %v, reference %v",
+				k, got.Positions[k], replayed.Positions[k], want.Positions[k])
 		}
 	}
-	for name, pair := range map[string][2]float64{
-		"velocity": {got.Velocity, want.Velocity},
-		"speed":    {got.Speed, want.Speed},
-		"r2":       {got.R2, want.R2},
+	for name, v := range map[string][3]float64{
+		"velocity": {got.Velocity, replayed.Velocity, want.Velocity},
+		"speed":    {got.Speed, replayed.Speed, want.Speed},
+		"r2":       {got.R2, replayed.R2, want.R2},
 	} {
-		if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
-			t.Errorf("%s: streamed %v, materialized %v", name, pair[0], pair[1])
+		if math.Float64bits(v[0]) != math.Float64bits(v[2]) || math.Float64bits(v[1]) != math.Float64bits(v[2]) {
+			t.Errorf("%s: streamed %v, replayed %v, reference %v", name, v[0], v[1], v[2])
 		}
+	}
+	if replayed.Detected != want.Detected {
+		t.Errorf("replayed detected %d vs %d", replayed.Detected, want.Detected)
 	}
 	// The timeline view agrees with the fitted positions.
 	tl := res.FrontTimeline(eps)
@@ -86,9 +137,7 @@ func TestFrontTrackerMatchesMeasureFront(t *testing.T) {
 func TestFrontTrackerFlatField(t *testing.T) {
 	f := &Field{Grid: Grid{M: 16, A: 1}, Potential: potential.Tanh{}, K: 1}
 	tracker := &FrontTracker{Grid: f.Grid}
-	if _, err := f.SolveStream(make([]float64, 16), 5, 21, tracker); err != nil {
-		t.Fatal(err)
-	}
+	streamField(t, f, make([]float64, 16), 5, 21, tracker)
 	if _, err := tracker.Finish(); err == nil {
 		t.Error("flat field: want a too-few-samples error")
 	}
@@ -119,7 +168,7 @@ func frontPOMConfig(t *testing.T, dde bool, workers int) core.Config {
 
 // TestFrontTrackerMatchesRowsPOM pins the tracker across families and
 // solver paths: for a POM idle wave at Workers = 1 and 4, ODE and DDE,
-// the streamed Front equals MeasureFrontRows over the materialized rows
+// the streamed Front equals measureFrontRows over the materialized rows
 // on the unit-spacing grid (one rank per lattice site).
 func TestFrontTrackerMatchesRowsPOM(t *testing.T) {
 	const tEnd, nSamples, eps = 60.0, 241, 0.15
@@ -143,7 +192,7 @@ func TestFrontTrackerMatchesRowsPOM(t *testing.T) {
 				t.Fatal(err)
 			}
 			g := Grid{M: 32, A: 1}
-			want, wantErr := MeasureFrontRows(g, res.Ts, res.Theta, eps)
+			want, wantErr := measureFrontRows(g, res.Ts, res.Theta, eps)
 
 			mStr, err := core.New(frontPOMConfig(t, tc.dde, tc.workers))
 			if err != nil {
@@ -182,9 +231,7 @@ func TestFrontTrackerMatchesRowsPOM(t *testing.T) {
 func TestFrontTrackerZeroValueAdoptsUnitGrid(t *testing.T) {
 	f, theta0 := frontField()
 	tracker := &FrontTracker{}
-	if _, err := f.SolveStream(theta0, 10, 41, tracker); err != nil {
-		t.Fatal(err)
-	}
+	streamField(t, f, theta0, 10, 41, tracker)
 	if tracker.Grid.M != 64 || tracker.Grid.A != 1 {
 		t.Fatalf("adopted grid %+v", tracker.Grid)
 	}

@@ -93,19 +93,17 @@ func (h *History) Compact(tmin float64) {
 	}
 }
 
-// DDEOptions configures SolveDDE. Sample plans are validated exactly
-// like SolveOptions: strictly increasing times inside [t0, t1] and a
-// nonnegative NSamples, or a clear error before integration starts.
+// DDEOptions configures SolveDDE. The sample plan is required and
+// validated exactly like SolveOptions: strictly increasing times inside
+// [t0, t1] and a nonnegative NSamples, or a clear error before
+// integration starts.
 type DDEOptions struct {
-	// SampleTs requests output at these increasing times.
-	SampleTs []float64
-	// SampleAt and NSamples define a virtual sample plan; see
+	// SampleAt and NSamples define the sample plan; see
 	// SolveOptions.SampleAt.
 	SampleAt func(k int) float64
 	// NSamples is the number of samples SampleAt produces.
 	NSamples int
-	// SampleFunc streams output rows instead of materializing them; see
-	// SolveOptions.SampleFunc.
+	// SampleFunc receives the output rows; see SolveOptions.SampleFunc.
 	SampleFunc func(t float64, y []float64)
 	// Prehistory defines y(t) for t <= t0; nil holds y0 constant.
 	Prehistory func(j int, t float64) float64
@@ -118,9 +116,9 @@ type DDEOptions struct {
 // using the adaptive DOPRI5 core with dense-output history (method of
 // steps). Delays need not be constant; state-dependent and vanishing
 // delays are handled by dense-output extrapolation of the newest segment.
-func (s *DOPRI5) SolveDDE(f DelayFunc, y0 []float64, t0, t1 float64, opt DDEOptions) (*Result, error) {
+func (s *DOPRI5) SolveDDE(f DelayFunc, y0 []float64, t0, t1 float64, opt DDEOptions) (Stats, error) {
 	if len(y0) == 0 {
-		return nil, errors.New("ode: empty state")
+		return Stats{}, errors.New("ode: empty state")
 	}
 	pre := opt.Prehistory
 	if pre == nil {
@@ -134,8 +132,7 @@ func (s *DOPRI5) SolveDDE(f DelayFunc, y0 []float64, t0, t1 float64, opt DDEOpti
 	pool := &SegmentPool{}
 	hist.Pool = pool
 	wrapped := func(t float64, y, dydt []float64) { f(t, y, hist, dydt) }
-	res, err := s.Solve(wrapped, y0, t0, t1, SolveOptions{
-		SampleTs:   opt.SampleTs,
+	return s.Solve(wrapped, y0, t0, t1, SolveOptions{
 		SampleAt:   opt.SampleAt,
 		NSamples:   opt.NSamples,
 		SampleFunc: opt.SampleFunc,
@@ -147,5 +144,4 @@ func (s *DOPRI5) SolveDDE(f DelayFunc, y0 []float64, t0, t1 float64, opt DDEOpti
 			}
 		},
 	})
-	return res, err
 }

@@ -16,10 +16,10 @@ func TestHistoryPrehistoryAndSegments(t *testing.T) {
 	// Integrate y' = 1 and check history interpolation hits the line.
 	s := NewDOPRI5(1e-9, 1e-9)
 	f := func(_ float64, _, dydt []float64) { dydt[0] = 1 }
-	_, err := s.Solve(f, []float64{0}, 0, 2, SolveOptions{
-		OnStep: func(seg *DenseSegment) { hist.Push(seg) },
-	})
-	if err != nil {
+	var c rowCollector
+	opt := sampleOpts(&c, 2)
+	opt.OnStep = func(seg *DenseSegment) { hist.Push(seg) }
+	if _, err := s.Solve(f, []float64{0}, 0, 2, opt); err != nil {
 		t.Fatal(err)
 	}
 	if hist.Len() == 0 {
@@ -40,10 +40,10 @@ func TestHistoryCompact(t *testing.T) {
 	hist := NewHistory(0, nil)
 	s := NewDOPRI5(1e-6, 1e-6)
 	f := func(_ float64, _, dydt []float64) { dydt[0] = 1 }
-	_, err := s.Solve(f, []float64{0}, 0, 10, SolveOptions{
-		OnStep: func(seg *DenseSegment) { hist.Push(seg) },
-	})
-	if err != nil {
+	var c rowCollector
+	opt := sampleOpts(&c, 10)
+	opt.OnStep = func(seg *DenseSegment) { hist.Push(seg) }
+	if _, err := s.Solve(f, []float64{0}, 0, 10, opt); err != nil {
 		t.Fatal(err)
 	}
 	before := hist.Len()
@@ -65,11 +65,12 @@ func TestSolveDDELinear(t *testing.T) {
 	f := func(tt float64, _ []float64, past Past, dydt []float64) {
 		dydt[0] = -past.Eval(0, tt-1)
 	}
-	res, err := s.SolveDDE(f, []float64{1}, 0, 2, DDEOptions{
-		SampleTs: []float64{0.5, 1.0, 1.5, 2.0},
-	})
-	if err != nil {
+	var c rowCollector
+	if _, err := s.SolveDDE(f, []float64{1}, 0, 2, ddeOpts(&c, 0.5, 1.0, 1.5, 2.0)); err != nil {
 		t.Fatal(err)
+	}
+	if len(c.ts) != 5 {
+		t.Fatalf("streamed times %v, want t0 and 4 samples", c.ts)
 	}
 	exact := func(tt float64) float64 {
 		if tt <= 1 {
@@ -77,9 +78,9 @@ func TestSolveDDELinear(t *testing.T) {
 		}
 		return 1 - tt + (tt-1)*(tt-1)/2
 	}
-	for k, tt := range res.Ts {
-		if math.Abs(res.Ys[k][0]-exact(tt)) > 1e-6 {
-			t.Errorf("y(%v) = %v, want %v", tt, res.Ys[k][0], exact(tt))
+	for k, tt := range c.ts {
+		if math.Abs(c.ys[k][0]-exact(tt)) > 1e-6 {
+			t.Errorf("y(%v) = %v, want %v", tt, c.ys[k][0], exact(tt))
 		}
 	}
 }
@@ -91,11 +92,11 @@ func TestSolveDDEZeroDelayMatchesODE(t *testing.T) {
 	f := func(tt float64, y []float64, past Past, dydt []float64) {
 		dydt[0] = -past.Eval(0, tt) // τ = 0: reads "now" through history
 	}
-	res, err := s.SolveDDE(f, []float64{1}, 0, 3, DDEOptions{})
-	if err != nil {
+	var c rowCollector
+	if _, err := s.SolveDDE(f, []float64{1}, 0, 3, ddeOpts(&c, 3)); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := res.Last()[0], math.Exp(-3); math.Abs(got-want) > 1e-4 {
+	if got, want := c.last()[0], math.Exp(-3); math.Abs(got-want) > 1e-4 {
 		t.Errorf("zero-delay DDE y(3) = %v, want %v", got, want)
 	}
 }
@@ -106,12 +107,12 @@ func TestSolveDDEPrehistoryDefault(t *testing.T) {
 	f := func(tt float64, _ []float64, past Past, dydt []float64) {
 		dydt[0] = past.Eval(0, tt-5) // always reads prehistory on [0,2]
 	}
-	res, err := s.SolveDDE(f, []float64{3}, 0, 2, DDEOptions{})
-	if err != nil {
+	var c rowCollector
+	if _, err := s.SolveDDE(f, []float64{3}, 0, 2, ddeOpts(&c, 2)); err != nil {
 		t.Fatal(err)
 	}
 	// y' = 3 constant → y(2) = 3 + 6 = 9.
-	if got := res.Last()[0]; math.Abs(got-9) > 1e-7 {
+	if got := c.last()[0]; math.Abs(got-9) > 1e-7 {
 		t.Errorf("y(2) = %v, want 9", got)
 	}
 }
@@ -121,20 +122,22 @@ func TestSolveDDEMaxDelayCompaction(t *testing.T) {
 	f := func(tt float64, y []float64, past Past, dydt []float64) {
 		dydt[0] = -past.Eval(0, tt-0.5)
 	}
-	res, err := s.SolveDDE(f, []float64{1}, 0, 50, DDEOptions{MaxDelay: 0.5})
-	if err != nil {
+	var c rowCollector
+	opt := ddeOpts(&c, 50)
+	opt.MaxDelay = 0.5
+	if _, err := s.SolveDDE(f, []float64{1}, 0, 50, opt); err != nil {
 		t.Fatal(err)
 	}
 	// Solution of y' = -y(t-1/2) oscillates with decaying amplitude; it
 	// must remain bounded and finite.
-	if got := res.Last()[0]; math.IsNaN(got) || math.Abs(got) > 1 {
+	if got := c.last()[0]; math.IsNaN(got) || math.Abs(got) > 1 {
 		t.Errorf("long DDE run diverged: %v", got)
 	}
 }
 
 func TestSolveDDEEmptyState(t *testing.T) {
 	s := NewDOPRI5(1e-6, 1e-6)
-	if _, err := s.SolveDDE(func(float64, []float64, Past, []float64) {}, nil, 0, 1, DDEOptions{}); err == nil {
+	if _, err := s.SolveDDE(func(float64, []float64, Past, []float64) {}, nil, 0, 1, ddeOpts(&rowCollector{}, 1)); err == nil {
 		t.Error("want error for empty state")
 	}
 }

@@ -76,7 +76,7 @@ type DOPRI5 struct {
 	y, ynew, ysmp              []float64
 
 	// scratchSeg is the dense segment reused across steps when the caller
-	// does not retain dense output (no KeepDense, OnStep, or Pool).
+	// does not retain dense output (no OnStep or Pool).
 	scratchSeg DenseSegment
 }
 
@@ -168,40 +168,25 @@ func (seg *DenseSegment) End() float64 { return seg.T0 + seg.H }
 
 // SolveOptions configures a DOPRI5 integration run.
 type SolveOptions struct {
-	// SampleTs requests output at these times (must be strictly
-	// increasing and lie in [t0, t1] — validated by Solve); when nil,
-	// every accepted step is recorded.
-	SampleTs []float64
-	// SampleAt, together with NSamples > 0, requests output at the
-	// increasing times SampleAt(0) … SampleAt(NSamples−1) without
-	// materializing the time grid — the O(1)-memory sample plan streaming
-	// consumers pair with SampleFunc. Ignored when SampleTs is set.
+	// SampleAt, together with NSamples, requests output at the increasing
+	// times SampleAt(0) … SampleAt(NSamples−1) without materializing the
+	// time grid: the run allocates nothing proportional to NSamples.
+	// Required.
 	SampleAt func(k int) float64
 	// NSamples is the number of samples SampleAt produces.
 	NSamples int
-	// SampleFunc, when non-nil, streams every output row to the callback
-	// instead of materializing it in Result.Ts/Ys: the result carries only
-	// the work statistics and the run's memory is independent of the
-	// sample count. The y slice is solver-owned and reused between calls;
-	// implementations must not retain it.
+	// SampleFunc receives every output row: the state y0 at t0 first,
+	// then one row per planned sample after t0. The y slice is
+	// solver-owned and reused between calls; implementations must not
+	// retain it. Required.
 	SampleFunc func(t float64, y []float64)
-	// KeepDense retains all dense segments in the returned result.
-	KeepDense bool
 	// OnStep, when non-nil, is invoked after every accepted step with the
 	// segment for that step (used by the DDE history).
 	OnStep func(seg *DenseSegment)
-	// Pool, when non-nil, supplies the dense segments handed to OnStep /
-	// KeepDense. Pair it with a consumer that recycles retired segments
-	// (the DDE history's Compact) to make long runs allocation-free.
+	// Pool, when non-nil, supplies the dense segments handed to OnStep.
+	// Pair it with a consumer that recycles retired segments (the DDE
+	// history's Compact) to make long runs allocation-free.
 	Pool *SegmentPool
-}
-
-// Result bundles the solution, work statistics, and (optionally) the dense
-// segments of an integration.
-type Result struct {
-	Solution
-	Stats Stats
-	Dense []*DenseSegment
 }
 
 // ErrStepSizeUnderflow reports that the controller could not meet the
@@ -211,17 +196,34 @@ var ErrStepSizeUnderflow = errors.New("ode: step size underflow")
 // ErrTooManySteps reports that MaxSteps was exceeded.
 var ErrTooManySteps = errors.New("ode: too many steps")
 
-// Solve integrates y' = f(t, y) from t0 to t1 starting at y0.
-func (s *DOPRI5) Solve(f Func, y0 []float64, t0, t1 float64, opt SolveOptions) (*Result, error) {
+// Solve integrates y' = f(t, y) from t0 to t1 starting at y0, streaming
+// the planned sample rows to opt.SampleFunc, and returns the work
+// statistics (partial ones alongside an integration error).
+func (s *DOPRI5) Solve(f Func, y0 []float64, t0, t1 float64, opt SolveOptions) (Stats, error) {
+	var st Stats
 	if t1 < t0 {
-		return nil, errors.New("ode: Solve needs t1 >= t0")
+		return st, errors.New("ode: Solve needs t1 >= t0")
 	}
 	n := len(y0)
 	if n == 0 {
-		return nil, errors.New("ode: empty state")
+		return st, errors.New("ode: empty state")
+	}
+	if opt.NSamples < 0 {
+		return st, fmt.Errorf("ode: negative NSamples %d", opt.NSamples)
+	}
+	if opt.SampleAt == nil || opt.SampleFunc == nil {
+		return st, errors.New("ode: Solve needs a sample plan (SampleAt) and a row consumer (SampleFunc)")
+	}
+	// A bad plan — non-increasing times or samples outside [t0, t1] —
+	// would silently produce corrupt output (rows skipped, duplicated, or
+	// extrapolated); reject it up front. The scan evaluates the plan once
+	// ahead of time, which costs O(NSamples) arithmetic and no
+	// allocations.
+	nSamp, sampleAt := opt.NSamples, opt.SampleAt
+	if err := checkSamplePlan(nSamp, sampleAt, t0, t1); err != nil {
+		return st, err
 	}
 	s.alloc(n)
-	res := &Result{}
 
 	s.y = grow(s.y, n)
 	copy(s.y, y0)
@@ -229,61 +231,9 @@ func (s *DOPRI5) Solve(f Func, y0 []float64, t0, t1 float64, opt SolveOptions) (
 	y, ynew := s.y, s.ynew
 	t := t0
 
-	// The sample plan is either an explicit grid (SampleTs) or a virtual
-	// one (SampleAt), evaluated lazily so streaming runs hold no grid.
-	if opt.NSamples < 0 {
-		return nil, fmt.Errorf("ode: negative NSamples %d", opt.NSamples)
-	}
-	hasPlan := opt.SampleTs != nil
-	nSamp := len(opt.SampleTs)
-	sampleAt := func(k int) float64 { return opt.SampleTs[k] }
-	if !hasPlan && opt.SampleAt != nil && opt.NSamples > 0 {
-		hasPlan = true
-		nSamp = opt.NSamples
-		sampleAt = opt.SampleAt
-	}
-	// A bad plan — non-increasing times or samples outside [t0, t1] —
-	// would silently produce corrupt output (rows skipped, duplicated, or
-	// extrapolated); reject it up front. The scan evaluates the virtual
-	// plan once ahead of time, which costs O(nSamp) arithmetic and no
-	// allocations.
-	if hasPlan {
-		if err := checkSamplePlan(nSamp, sampleAt, t0, t1); err != nil {
-			return nil, err
-		}
-	}
-
-	// With a known sample plan the output rows are carved out of one
-	// arena allocation instead of one allocation per sample. A streaming
-	// consumer (SampleFunc) bypasses materialization entirely: rows are
-	// handed over straight from the solver buffers and never stored.
-	var arena []float64
-	arenaNext := 0
-	if hasPlan && opt.SampleFunc == nil {
-		rows := nSamp + 1
-		arena = make([]float64, rows*n)
-		res.Ts = make([]float64, 0, rows)
-		res.Ys = make([][]float64, 0, rows)
-	}
-	sampleIdx := 0
-	record := func(tt float64, v []float64) {
-		if opt.SampleFunc != nil {
-			opt.SampleFunc(tt, v)
-			return
-		}
-		res.Ts = append(res.Ts, tt)
-		var row []float64
-		if arena != nil {
-			row = arena[arenaNext : arenaNext+n : arenaNext+n]
-			arenaNext += n
-		} else {
-			row = make([]float64, n)
-		}
-		copy(row, v)
-		res.Ys = append(res.Ys, row)
-	}
-	record(t0, y)
+	opt.SampleFunc(t0, y)
 	// Skip any requested samples that coincide with t0.
+	sampleIdx := 0
 	for sampleIdx < nSamp && sampleAt(sampleIdx) <= t0 {
 		sampleIdx++
 	}
@@ -299,14 +249,7 @@ func (s *DOPRI5) Solve(f Func, y0 []float64, t0, t1 float64, opt SolveOptions) (
 	h = math.Min(h, hmax)
 
 	f(t, y, s.k1) // first stage; FSAL recycles k7 afterwards
-	res.Stats.Evals++
-
-	// retain: the caller keeps segments beyond the current step, so each
-	// accepted step needs its own (pooled or fresh) segment. Otherwise the
-	// solver-local scratch segment is reused, and no segment is built at
-	// all when nothing consumes dense output.
-	retain := opt.KeepDense || opt.OnStep != nil
-	needDense := retain || hasPlan
+	st.Evals++
 
 	errOld := 1e-4
 	maxSteps := s.MaxSteps
@@ -315,51 +258,45 @@ func (s *DOPRI5) Solve(f Func, y0 []float64, t0, t1 float64, opt SolveOptions) (
 	}
 
 	for t < t1 {
-		if res.Stats.Steps >= maxSteps {
-			return res, fmt.Errorf("%w (t=%g of %g)", ErrTooManySteps, t, t1)
+		if st.Steps >= maxSteps {
+			return st, fmt.Errorf("%w (t=%g of %g)", ErrTooManySteps, t, t1)
 		}
 		if t+h > t1 {
 			h = t1 - t
 		}
-		res.Stats.Steps++
+		st.Steps++
 
 		errNorm := s.step(f, t, y, h, ynew)
-		res.Stats.Evals += 6
+		st.Evals += 6
 
 		if errNorm <= 1 { // accept
-			res.Stats.Accepted++
+			st.Accepted++
+			// An OnStep consumer keeps segments beyond the current step,
+			// so each accepted step needs its own (pooled or fresh)
+			// segment; otherwise the solver-local scratch is reused.
 			var seg *DenseSegment
-			if needDense {
-				switch {
-				case opt.Pool != nil:
-					seg = opt.Pool.Get(n)
-				case retain:
-					seg = &DenseSegment{}
-					seg.reserve(n)
-				default:
-					seg = &s.scratchSeg
-					seg.reserve(n)
-				}
-				s.fillDense(seg, t, h, y, ynew)
-				if opt.OnStep != nil {
-					opt.OnStep(seg)
-				}
-				if opt.KeepDense {
-					res.Dense = append(res.Dense, seg)
-				}
+			switch {
+			case opt.Pool != nil:
+				seg = opt.Pool.Get(n)
+			case opt.OnStep != nil:
+				seg = &DenseSegment{}
+				seg.reserve(n)
+			default:
+				seg = &s.scratchSeg
+				seg.reserve(n)
+			}
+			s.fillDense(seg, t, h, y, ynew)
+			if opt.OnStep != nil {
+				opt.OnStep(seg)
 			}
 			tNew := t + h
-			if !hasPlan {
-				record(tNew, ynew)
-			} else {
-				for sampleIdx < nSamp {
-					ts := sampleAt(sampleIdx)
-					if ts > tNew+1e-14 {
-						break
-					}
-					record(ts, seg.Eval(ts, s.ysmp))
-					sampleIdx++
+			for sampleIdx < nSamp {
+				ts := sampleAt(sampleIdx)
+				if ts > tNew+1e-14 {
+					break
 				}
+				opt.SampleFunc(ts, seg.Eval(ts, s.ysmp))
+				sampleIdx++
 			}
 			// FSAL: k7 of the accepted step becomes k1 of the next.
 			s.k1, s.k7 = s.k7, s.k1
@@ -372,15 +309,15 @@ func (s *DOPRI5) Solve(f Func, y0 []float64, t0, t1 float64, opt SolveOptions) (
 			h = math.Min(h*fac, hmax)
 			errOld = math.Max(errNorm, 1e-4)
 		} else { // reject
-			res.Stats.Rejected++
+			st.Rejected++
 			fac := mathx.Clamp(0.9*math.Pow(errNorm, -0.2), 0.1, 1)
 			h *= fac
 			if s.Hmin > 0 && h < s.Hmin || h < 1e-14*math.Max(1, math.Abs(t)) {
-				return res, fmt.Errorf("%w at t=%g (h=%g)", ErrStepSizeUnderflow, t, h)
+				return st, fmt.Errorf("%w at t=%g (h=%g)", ErrStepSizeUnderflow, t, h)
 			}
 		}
 	}
-	return res, nil
+	return st, nil
 }
 
 // checkSamplePlan validates a sample plan: every time must lie inside

@@ -5,6 +5,12 @@
 // as MATLAB's ode45, which the paper's artifact uses. A delay-differential
 // driver (dde.go) supports the model's interaction-noise delay term
 // θ_j(t − τ_ij(t)).
+//
+// The adaptive solver has one output path: the caller names the sample
+// times with a plan (SolveOptions.SampleAt, NSamples) and receives every
+// row, evaluated from the dense output, through SampleFunc; it stores
+// nothing. Callers that want a materialized trajectory collect the rows
+// themselves (package sim does, for sim.Run).
 package ode
 
 import (
@@ -22,59 +28,6 @@ type Func func(t float64, y, dydt []float64)
 type Solution struct {
 	Ts []float64
 	Ys [][]float64
-}
-
-// Component extracts the time series of state component i.
-func (s *Solution) Component(i int) []float64 {
-	out := make([]float64, len(s.Ys))
-	for k, y := range s.Ys {
-		out[k] = y[i]
-	}
-	return out
-}
-
-// Last returns the final state, or nil for an empty solution.
-func (s *Solution) Last() []float64 {
-	if len(s.Ys) == 0 {
-		return nil
-	}
-	return s.Ys[len(s.Ys)-1]
-}
-
-// At linearly interpolates the solution at time t (clamped to the sampled
-// range). It is a convenience for analysis code; integration-grade accuracy
-// comes from dense output inside the adaptive solver.
-func (s *Solution) At(t float64, dst []float64) []float64 {
-	n := len(s.Ts)
-	if n == 0 {
-		return nil
-	}
-	dim := len(s.Ys[0])
-	if cap(dst) < dim {
-		dst = make([]float64, dim)
-	}
-	dst = dst[:dim]
-	switch {
-	case t <= s.Ts[0]:
-		copy(dst, s.Ys[0])
-	case t >= s.Ts[n-1]:
-		copy(dst, s.Ys[n-1])
-	default:
-		lo, hi := 0, n-1
-		for hi-lo > 1 {
-			mid := (lo + hi) / 2
-			if s.Ts[mid] <= t {
-				lo = mid
-			} else {
-				hi = mid
-			}
-		}
-		u := (t - s.Ts[lo]) / (s.Ts[hi] - s.Ts[lo])
-		for i := 0; i < dim; i++ {
-			dst[i] = s.Ys[lo][i] + u*(s.Ys[hi][i]-s.Ys[lo][i])
-		}
-	}
-	return dst
 }
 
 // Stepper advances a state by one fixed step of size h. Implementations are

@@ -1,6 +1,7 @@
 package ode
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -31,7 +32,7 @@ func TestFixedSolveExpDecay(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.stepper.Name(), err)
 		}
-		got := sol.Last()[0]
+		got := sol.Ys[len(sol.Ys)-1][0]
 		want := math.Exp(-2)
 		if math.Abs(got-want) > tc.tol {
 			t.Errorf("%s: y(2) = %v, want %v ± %v", tc.stepper.Name(), got, want, tc.tol)
@@ -47,7 +48,7 @@ func convergenceOrder(t *testing.T, st Stepper) float64 {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return math.Abs(sol.Last()[0] - math.Cos(1))
+		return math.Abs(sol.Ys[len(sol.Ys)-1][0] - math.Cos(1))
 	}
 	e1, e2 := errAt(0.01), errAt(0.005)
 	return math.Log2(e1 / e2)
@@ -91,54 +92,20 @@ func TestFixedSolveLandsOnT1(t *testing.T) {
 	}
 }
 
-func TestSolutionComponentAndAt(t *testing.T) {
-	sol := &Solution{
-		Ts: []float64{0, 1, 2},
-		Ys: [][]float64{{0, 10}, {1, 20}, {4, 30}},
-	}
-	c0 := sol.Component(0)
-	if c0[2] != 4 {
-		t.Errorf("Component = %v", c0)
-	}
-	v := sol.At(0.5, nil)
-	if v[0] != 0.5 || v[1] != 15 {
-		t.Errorf("At(0.5) = %v", v)
-	}
-	if v := sol.At(-1, nil); v[0] != 0 {
-		t.Error("left clamp failed")
-	}
-	if v := sol.At(5, nil); v[0] != 4 {
-		t.Error("right clamp failed")
-	}
-	var empty Solution
-	if empty.At(0, nil) != nil || empty.Last() != nil {
-		t.Error("empty solution should return nil")
-	}
-}
-
 func TestDOPRI5Accuracy(t *testing.T) {
-	s := NewDOPRI5(1e-10, 1e-10)
-	res, err := s.Solve(harmonic, []float64{1, 0}, 0, 10, SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := res.Last()
+	got, st := solveTo(t, NewDOPRI5(1e-10, 1e-10), harmonic, []float64{1, 0}, 0, 10)
 	if math.Abs(got[0]-math.Cos(10)) > 1e-7 || math.Abs(got[1]+math.Sin(10)) > 1e-7 {
 		t.Errorf("y(10) = %v, want (cos10, -sin10)", got)
 	}
-	if res.Stats.Accepted == 0 || res.Stats.Evals == 0 {
+	if st.Accepted == 0 || st.Evals == 0 {
 		t.Error("stats not populated")
 	}
 }
 
 func TestDOPRI5ToleranceControlsError(t *testing.T) {
 	run := func(tol float64) (errv float64, steps int) {
-		s := NewDOPRI5(tol, tol)
-		res, err := s.Solve(harmonic, []float64{1, 0}, 0, 10, SolveOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return math.Abs(res.Last()[0] - math.Cos(10)), res.Stats.Accepted
+		got, st := solveTo(t, NewDOPRI5(tol, tol), harmonic, []float64{1, 0}, 0, 10)
+		return math.Abs(got[0] - math.Cos(10)), st.Accepted
 	}
 	eLoose, nLoose := run(1e-4)
 	eTight, nTight := run(1e-9)
@@ -150,36 +117,39 @@ func TestDOPRI5ToleranceControlsError(t *testing.T) {
 	}
 }
 
-func TestDOPRI5SampleTs(t *testing.T) {
+func TestDOPRI5SampleAt(t *testing.T) {
 	s := NewDOPRI5(1e-9, 1e-9)
 	want := []float64{0, 1, 2, 3, 4, 5}
-	res, err := s.Solve(expDecay, []float64{1}, 0, 5, SolveOptions{SampleTs: want})
-	if err != nil {
+	var c rowCollector
+	if _, err := s.Solve(expDecay, []float64{1}, 0, 5, sampleOpts(&c, want...)); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Ts) != len(want) {
-		t.Fatalf("got %d samples (%v), want %d", len(res.Ts), res.Ts, len(want))
+	if len(c.ts) != len(want) {
+		t.Fatalf("got %d samples (%v), want %d", len(c.ts), c.ts, len(want))
 	}
 	for k, ts := range want {
-		if math.Abs(res.Ts[k]-ts) > 1e-12 {
-			t.Errorf("sample %d at %v, want %v", k, res.Ts[k], ts)
+		if math.Abs(c.ts[k]-ts) > 1e-12 {
+			t.Errorf("sample %d at %v, want %v", k, c.ts[k], ts)
 		}
-		if math.Abs(res.Ys[k][0]-math.Exp(-ts)) > 1e-7 {
-			t.Errorf("y(%v) = %v, want %v", ts, res.Ys[k][0], math.Exp(-ts))
+		if math.Abs(c.ys[k][0]-math.Exp(-ts)) > 1e-7 {
+			t.Errorf("y(%v) = %v, want %v", ts, c.ys[k][0], math.Exp(-ts))
 		}
 	}
 }
 
 func TestDOPRI5DenseOutputAccuracy(t *testing.T) {
 	s := NewDOPRI5(1e-9, 1e-9)
-	res, err := s.Solve(harmonic, []float64{1, 0}, 0, 5, SolveOptions{KeepDense: true})
-	if err != nil {
+	var c rowCollector
+	var segs []*DenseSegment
+	opt := sampleOpts(&c, 5)
+	opt.OnStep = func(seg *DenseSegment) { segs = append(segs, seg) }
+	if _, err := s.Solve(harmonic, []float64{1, 0}, 0, 5, opt); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Dense) == 0 {
-		t.Fatal("no dense segments kept")
+	if len(segs) == 0 {
+		t.Fatal("no dense segments handed to OnStep")
 	}
-	for _, seg := range res.Dense {
+	for _, seg := range segs {
 		for _, th := range []float64{0.1, 0.5, 0.9} {
 			tt := seg.T0 + th*seg.H
 			v := seg.Eval(tt, nil)
@@ -195,13 +165,9 @@ func TestDOPRI5FSALConsistency(t *testing.T) {
 	// result must still match the analytic solution of y' = y² with
 	// y(0) = -1: y(t) = -1/(1+t).
 	riccati := func(_ float64, y, dydt []float64) { dydt[0] = y[0] * y[0] }
-	s := NewDOPRI5(1e-10, 1e-10)
-	res, err := s.Solve(riccati, []float64{-1}, 0, 9, SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	y, _ := solveTo(t, NewDOPRI5(1e-10, 1e-10), riccati, []float64{-1}, 0, 9)
 	want := -1.0 / 10
-	if got := res.Last()[0]; math.Abs(got-want) > 1e-8 {
+	if got := y[0]; math.Abs(got-want) > 1e-8 {
 		t.Errorf("y(9) = %v, want %v", got, want)
 	}
 }
@@ -209,9 +175,10 @@ func TestDOPRI5FSALConsistency(t *testing.T) {
 func TestDOPRI5MaxSteps(t *testing.T) {
 	s := NewDOPRI5(1e-12, 1e-12)
 	s.MaxSteps = 3
-	_, err := s.Solve(harmonic, []float64{1, 0}, 0, 100, SolveOptions{})
-	if err == nil {
-		t.Fatal("want ErrTooManySteps")
+	var c rowCollector
+	_, err := s.Solve(harmonic, []float64{1, 0}, 0, 100, sampleOpts(&c, 100))
+	if !errors.Is(err, ErrTooManySteps) {
+		t.Fatalf("err = %v, want ErrTooManySteps", err)
 	}
 }
 
@@ -219,12 +186,8 @@ func TestDOPRI5TimeDependentRHS(t *testing.T) {
 	// y' = cos(t), y(0) = 0 → y = sin(t). Verifies t is threaded through
 	// the stages correctly (c_i coefficients).
 	f := func(tt float64, _, dydt []float64) { dydt[0] = math.Cos(tt) }
-	s := NewDOPRI5(1e-10, 1e-10)
-	res, err := s.Solve(f, []float64{0}, 0, 7, SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.Last()[0]; math.Abs(got-math.Sin(7)) > 1e-8 {
+	y, _ := solveTo(t, NewDOPRI5(1e-10, 1e-10), f, []float64{0}, 0, 7)
+	if got := y[0]; math.Abs(got-math.Sin(7)) > 1e-8 {
 		t.Errorf("y(7) = %v, want sin(7) = %v", got, math.Sin(7))
 	}
 }
@@ -232,9 +195,14 @@ func TestDOPRI5TimeDependentRHS(t *testing.T) {
 func BenchmarkDOPRI5Harmonic(b *testing.B) {
 	s := NewDOPRI5(1e-8, 1e-8)
 	y0 := []float64{1, 0}
+	opt := SolveOptions{
+		SampleAt:   func(int) float64 { return 10 },
+		NSamples:   1,
+		SampleFunc: func(float64, []float64) {},
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Solve(harmonic, y0, 0, 10, SolveOptions{SampleTs: []float64{10}}); err != nil {
+		if _, err := s.Solve(harmonic, y0, 0, 10, opt); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -18,15 +18,15 @@ func decayRHS(t float64, y, dydt []float64) {
 func solveAllocs(t *testing.T, tEnd float64, nSamples int) float64 {
 	t.Helper()
 	y0 := make([]float64, 32)
-	samples := make([]float64, nSamples)
-	for i := range samples {
-		samples[i] = tEnd * float64(i+1) / float64(nSamples)
-	}
+	plan := func(k int) float64 { return tEnd * float64(k+1) / float64(nSamples) }
+	sink := func(float64, []float64) {}
 	s := NewDOPRI5(1e-8, 1e-6)
 	s.Hmax = 0.25
 	var runErr error
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := s.Solve(decayRHS, y0, 0, tEnd, SolveOptions{SampleTs: samples}); err != nil {
+		if _, err := s.Solve(decayRHS, y0, 0, tEnd, SolveOptions{
+			SampleAt: plan, NSamples: nSamples, SampleFunc: sink,
+		}); err != nil {
 			runErr = err
 		}
 	})
@@ -48,15 +48,15 @@ func ddeAllocs(t *testing.T, tEnd float64, nSamples int) float64 {
 		}
 	}
 	y0 := make([]float64, 16)
-	samples := make([]float64, nSamples)
-	for i := range samples {
-		samples[i] = tEnd * float64(i+1) / float64(nSamples)
-	}
+	plan := func(k int) float64 { return tEnd * float64(k+1) / float64(nSamples) }
+	sink := func(float64, []float64) {}
 	s := NewDOPRI5(1e-8, 1e-6)
 	s.Hmax = 0.25
 	var runErr error
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := s.SolveDDE(f, y0, 0, tEnd, DDEOptions{SampleTs: samples, MaxDelay: tau}); err != nil {
+		if _, err := s.SolveDDE(f, y0, 0, tEnd, DDEOptions{
+			SampleAt: plan, NSamples: nSamples, SampleFunc: sink, MaxDelay: tau,
+		}); err != nil {
 			runErr = err
 		}
 	})

@@ -3,8 +3,11 @@ package scenario
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // TestValidationFieldPaths pins that validation failures carry the
@@ -43,6 +46,36 @@ func TestValidationFieldPaths(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), "(field "+tc.path+")") {
 			t.Errorf("%s: error text %q does not name the field path", tc.name, err)
+		}
+	}
+}
+
+// TestSamplesControl pins the samples run control end to end: 0 selects
+// the family default, 1 is rejected on the "samples" path (a run always
+// emits both endpoints, so it used to stream 2 rows while the archived
+// params said 1), and any count from 2 up streams exactly that many rows.
+func TestSamplesControl(t *testing.T) {
+	const doc = `{"n":8,"tcomp":0.8,"tcomm":0.2,"potential":{"kind":"tanh"},"offsets":[-1,1],"t_end":5,"samples":%d}`
+	_, err := Load(strings.NewReader(fmt.Sprintf(doc, 1)))
+	var fe *FieldError
+	if !errors.As(err, &fe) || fe.Path != "samples" {
+		t.Fatalf("samples 1: err = %v, want a FieldError on samples", err)
+	}
+	for samples, want := range map[int]int{0: pomDefaultSamples, 2: 2, 3: 3} {
+		spec, err := Load(strings.NewReader(fmt.Sprintf(doc, samples)))
+		if err != nil {
+			t.Fatalf("samples %d: %v", samples, err)
+		}
+		sys, tEnd, got, err := spec.BuildSystem()
+		if err != nil {
+			t.Fatalf("samples %d: %v", samples, err)
+		}
+		rows := 0
+		if _, err := sim.RunStream(sys, tEnd, got, sim.SinkFunc(func(float64, []float64) { rows++ })); err != nil {
+			t.Fatalf("samples %d: %v", samples, err)
+		}
+		if got != want || rows != want {
+			t.Errorf("samples %d: resolved %d, streamed %d rows, want %d", samples, got, rows, want)
 		}
 	}
 }

@@ -239,6 +239,11 @@ func (s *Spec) validateControls(family string) error {
 	if s.Samples < 0 {
 		return fieldErrf("samples", "scenario: negative samples %d", s.Samples)
 	}
+	// A run always emits both endpoints, so one sample cannot be honored;
+	// 0 selects the family default.
+	if s.Samples == 1 {
+		return fieldErrf("samples", "scenario: samples must be 0 (family default) or at least 2, got 1")
+	}
 	sections := []struct {
 		name string
 		set  bool

@@ -331,7 +331,7 @@ func TestE2EJobAPI(t *testing.T) {
 func TestE2EValidationErrors(t *testing.T) {
 	_, hs := newTestServer(t, serve.Config{})
 	for _, tc := range []struct {
-		family, doc, field string
+		name, doc, field string
 	}{
 		{"pom", `{"n":8,"tcomp":0.8,"tcomm":0.2,"potential":{"kind":"desync","sigma":-1},"offsets":[-1,1]}`, "potential.sigma"},
 		{"kuramoto", `{"family":"kuramoto","kuramoto":{"n":1,"k":1}}`, "kuramoto.n"},
@@ -339,8 +339,9 @@ func TestE2EValidationErrors(t *testing.T) {
 		{"torus2d", `{"family":"torus2d","torus2d":{"nx":1,"ny":4,"tcomp":0.8,"tcomm":0.2,"potential":{"kind":"tanh"},"radius":1}}`, "torus2d.nx"},
 		{"linstab", `{"family":"linstab","linstab":{"n":8,"offsets":[-1,1],"potential":{"kind":"tanh"},"from":2,"to":1}}`, "linstab.from"},
 		{"cluster", `{"family":"cluster","cluster":{"n":4,"iters":0}}`, "cluster.iters"},
+		{"samples", `{"n":8,"tcomp":0.8,"tcomm":0.2,"potential":{"kind":"tanh"},"offsets":[-1,1],"samples":1}`, "samples"},
 	} {
-		t.Run(tc.family, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			resp := postRun(t, hs.URL, []byte(tc.doc))
 			var apiErr struct {
 				Error string `json:"error"`

@@ -27,9 +27,10 @@
 //
 // # Streaming
 //
-// Run materializes a trajectory; RunStream emits the identical rows to a
+// RunStream is the one integration path: it emits the sample rows to a
 // Sink from reused buffers, so memory is independent of the sample
-// count. The accumulator sinks (SpreadAccumulator, OrderAccumulator,
+// count. Run is RunStream into a collecting sink that copies the rows
+// into one arena, so a materialized trajectory is the streamed one. The accumulator sinks (SpreadAccumulator, OrderAccumulator,
 // ResyncDetector, GapAccumulator, LockAccumulator) reduce a stream to
 // O(N) summaries; they are each metric's only implementation, since the
 // materialized Result metrics Replay their rows through them. RunSummary

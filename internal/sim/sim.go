@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/mathx"
 	"repro/internal/ode"
 )
 
@@ -72,13 +71,39 @@ type Result struct {
 }
 
 // Run integrates the system from t = 0 to tEnd, materializing nSamples
-// uniform samples (both endpoints included).
+// uniform samples (both endpoints included). It is RunStream into a
+// collecting sink, so its rows are the streamed rows.
 func Run(sys System, tEnd float64, nSamples int) (*Result, error) {
-	res, err := integrate(sys, tEnd, nSamples, nil)
+	c := &collector{}
+	stats, err := RunStream(sys, tEnd, nSamples, c)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Ts: res.Ts, Ys: res.Ys, Stats: res.Stats}, nil
+	c.Stats = stats
+	return &c.Result, nil
+}
+
+// collector is the Sink behind Run: Begin sizes one arena for every row,
+// and each Sample copies its row into the next slot.
+type collector struct {
+	Result
+	arena []float64
+}
+
+// Begin implements Sink.
+func (c *collector) Begin(n, nSamples int) {
+	c.arena = make([]float64, n*nSamples)
+	c.Ts = make([]float64, 0, nSamples)
+	c.Ys = make([][]float64, 0, nSamples)
+}
+
+// Sample implements Sink.
+func (c *collector) Sample(t float64, y []float64) {
+	row := c.arena[:len(y):len(y)]
+	c.arena = c.arena[len(y):]
+	copy(row, y)
+	c.Ts = append(c.Ts, t)
+	c.Ys = append(c.Ys, row)
 }
 
 // release returns the system's resources if it participates in the
@@ -89,48 +114,27 @@ func release(sys System) {
 	}
 }
 
-// RunStream integrates the system like Run but emits the nSamples uniform
-// sample rows to sink as they are produced instead of materializing them:
-// the run's memory is independent of nSamples, which is what makes
-// million-point sweeps with per-point trajectories feasible. The rows
-// streamed to the sink are bit-for-bit the rows Run would store.
+// RunStream integrates the system from t = 0 to tEnd and emits nSamples
+// uniform sample rows (both endpoints included) to sink as they are
+// produced, from reused buffers: the run's memory is independent of
+// nSamples, which is what makes million-point sweeps with per-point
+// trajectories feasible.
 func RunStream(sys System, tEnd float64, nSamples int, sink Sink) (ode.Stats, error) {
+	// Registered before any validation: the Releaser contract promises a
+	// Release per invocation on every path, including argument errors — a
+	// pooled system rejected by a bad tEnd inside a sweep loop must not
+	// leak its worker goroutines.
+	defer release(sys)
 	if sink == nil {
-		release(sys)
 		return ode.Stats{}, errors.New("sim: nil sink")
 	}
 	if tEnd <= 0 {
-		release(sys)
 		return ode.Stats{}, errors.New("sim: tEnd must be positive")
 	}
 	if nSamples < 2 {
 		nSamples = 2
 	}
 	sink.Begin(sys.Dim(), nSamples)
-	res, err := integrate(sys, tEnd, nSamples, sink.Sample)
-	if err != nil {
-		return ode.Stats{}, err
-	}
-	return res.Stats, nil
-}
-
-// integrate runs the solver over [0, tEnd] with nSamples uniform samples.
-// A nil sample callback materializes the trajectory in the result; a
-// non-nil callback receives each row as it is produced (from a reused
-// buffer) and the result carries only the work statistics. The two paths
-// produce bitwise-identical sample times and rows.
-func integrate(sys System, tEnd float64, nSamples int, sample func(t float64, y []float64)) (*ode.Result, error) {
-	// Registered before any validation: the Releaser contract promises a
-	// Release per invocation on every path, including argument errors — a
-	// pooled system rejected by a bad tEnd inside a sweep loop must not
-	// leak its worker goroutines.
-	defer release(sys)
-	if tEnd <= 0 {
-		return nil, errors.New("sim: tEnd must be positive")
-	}
-	if nSamples < 2 {
-		nSamples = 2
-	}
 	var sv Solver
 	if t, ok := sys.(Tuned); ok {
 		sv = t.Solver()
@@ -143,52 +147,35 @@ func integrate(sys System, tEnd float64, nSamples int, sample func(t float64, y 
 	}
 	solver := ode.NewDOPRI5(sv.Atol, sv.Rtol)
 	solver.Hmax = sv.Hmax
-	// Materialized runs hand the solver the explicit Linspace grid (it
-	// sizes the output arena); streaming runs use the equivalent virtual
-	// plan so the run allocates nothing proportional to nSamples. The two
-	// produce bitwise-identical sample times.
-	var samples []float64
-	sampleAt := func(k int) float64 { return 0 }
-	if sample == nil {
-		samples = mathx.Linspace(0, tEnd, nSamples)
-	} else {
-		step := tEnd / float64(nSamples-1)
-		last := nSamples - 1
-		sampleAt = func(k int) float64 {
-			if k == last {
-				return tEnd // avoid accumulated rounding, like Linspace
-			}
-			return float64(k) * step
+	// The uniform plan is evaluated lazily, bit for bit the times
+	// mathx.Linspace(0, tEnd, nSamples) would hold.
+	step := tEnd / float64(nSamples-1)
+	last := nSamples - 1
+	sampleAt := func(k int) float64 {
+		if k == last {
+			return tEnd // avoid accumulated rounding, like Linspace
 		}
+		return float64(k) * step
 	}
 	y0 := append([]float64(nil), sys.InitialState()...)
 	if len(y0) != sys.Dim() {
-		return nil, fmt.Errorf("sim: initial state has %d entries, system dimension is %d", len(y0), sys.Dim())
+		return ode.Stats{}, fmt.Errorf("sim: initial state has %d entries, system dimension is %d", len(y0), sys.Dim())
 	}
 
-	var res *ode.Result
+	var stats ode.Stats
 	var err error
 	if d, ok := sys.(Delayed); ok && d.MaxDelay() > 0 {
-		res, err = solver.SolveDDE(
-			d.EvalDelayed,
-			y0, 0, tEnd,
-			ode.DDEOptions{
-				SampleTs: samples, SampleAt: sampleAt, NSamples: nSamples,
-				SampleFunc: sample, MaxDelay: d.MaxDelay(),
-			},
-		)
+		stats, err = solver.SolveDDE(d.EvalDelayed, y0, 0, tEnd, ode.DDEOptions{
+			SampleAt: sampleAt, NSamples: nSamples, SampleFunc: sink.Sample,
+			MaxDelay: d.MaxDelay(),
+		})
 	} else {
-		res, err = solver.Solve(
-			sys.Eval,
-			y0, 0, tEnd,
-			ode.SolveOptions{
-				SampleTs: samples, SampleAt: sampleAt, NSamples: nSamples,
-				SampleFunc: sample,
-			},
-		)
+		stats, err = solver.Solve(sys.Eval, y0, 0, tEnd, ode.SolveOptions{
+			SampleAt: sampleAt, NSamples: nSamples, SampleFunc: sink.Sample,
+		})
 	}
 	if err != nil {
-		return nil, fmt.Errorf("sim: integration failed: %w", err)
+		return ode.Stats{}, fmt.Errorf("sim: integration failed: %w", err)
 	}
-	return res, nil
+	return stats, nil
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/mathx"
 	"repro/internal/ode"
 )
 
@@ -211,5 +212,67 @@ func TestOrderAccumulatorAsymptoticWindow(t *testing.T) {
 	want /= float64(n - start)
 	if got := acc.Asymptotic(); math.Float64bits(got) != math.Float64bits(want) {
 		t.Errorf("Asymptotic = %v, want %v (bitwise)", got, want)
+	}
+}
+
+// TestRunSampleTimesAreLinspace pins the uniform plan RunStream evaluates
+// lazily to the explicit grid: Run's sample times equal
+// mathx.Linspace(0, tEnd, n) bit for bit, over pairs where the step
+// tEnd/(n−1) is inexact; for (842, 172) and (235.266, 279), (n−1)·step
+// also misses tEnd, so the last sample must be clamped onto it.
+func TestRunSampleTimesAreLinspace(t *testing.T) {
+	for _, tc := range []struct {
+		tEnd float64
+		n    int
+	}{
+		{150, 601}, {0.1, 3}, {math.Pi, 1000}, {1e6, 7}, {10, 41}, {1, 2},
+		{842, 172}, {235.266, 279},
+	} {
+		res, err := Run(&osc{n: 2}, tc.tEnd, tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := mathx.Linspace(0, tc.tEnd, tc.n)
+		if len(res.Ts) != len(want) || len(res.Ys) != len(want) {
+			t.Fatalf("(%v, %d): %d times, %d rows, want %d",
+				tc.tEnd, tc.n, len(res.Ts), len(res.Ys), len(want))
+		}
+		for k := range want {
+			if math.Float64bits(res.Ts[k]) != math.Float64bits(want[k]) {
+				t.Fatalf("(%v, %d): sample %d at %v, Linspace has %v",
+					tc.tEnd, tc.n, k, res.Ts[k], want[k])
+			}
+		}
+	}
+}
+
+// TestRunAllocs pins the allocation counts of one run at N = 8 with 201
+// samples, ODE and DDE: Run is RunStream plus the collector and its
+// three slices (arena, times, rows), and neither may exceed the counts
+// measured before Run became RunStream into a collecting sink.
+func TestRunAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		sys            func() System
+		stream, result float64
+	}{
+		{"ode", func() System { return &osc{n: 8} }, 20, 23},
+		{"dde", func() System { return lagSys{} }, 64, 67},
+	} {
+		sink := SinkFunc(func(float64, []float64) {})
+		stream := testing.AllocsPerRun(10, func() {
+			if _, err := RunStream(tc.sys(), 20, 201, sink); err != nil {
+				t.Fatal(err)
+			}
+		})
+		result := testing.AllocsPerRun(10, func() {
+			if _, err := Run(tc.sys(), 20, 201); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if stream > tc.stream || result > tc.result {
+			t.Errorf("%s: RunStream %v allocs (max %v), Run %v allocs (max %v)",
+				tc.name, stream, tc.stream, result, tc.result)
+		}
 	}
 }
