@@ -23,6 +23,10 @@ type familyCLI struct {
 	sinks func(s *scenario.Spec, sys sim.System) ([]sim.Sink, func(), error)
 	// report prints the summary lines of a streamed run.
 	report func(r *streamed)
+	// artifacts writes the files -svg DIR asks of a streamed run; nil
+	// when the family has none. POM plots come from its materialized
+	// run instead.
+	artifacts func(s *scenario.Spec, sys sim.System, dir string) error
 	// sigma and seed return the spec field -sweep-param sets; nil when
 	// the family has no such parameter.
 	sigma func(s *scenario.Spec) *float64
@@ -139,10 +143,12 @@ var cliFamilies = map[string]familyCLI{
 			c := s.Cluster
 			return []float64{float64(c.N), float64(c.Iters), c.MessageBytes()}
 		},
+		sinks: clusterMetrics,
 		report: func(r *streamed) {
 			reportUnified(r, fmt.Sprintf("iteration skew (spread/2π): asymptotic %.3f   max %.3f iterations\n",
 				r.sum.AsymptoticSpread/(2*math.Pi), r.sum.MaxSpread/(2*math.Pi)))
 		},
+		artifacts: writeTraceArtifacts,
 	},
 }
 

@@ -3,14 +3,20 @@
 // prints the settled state, wave metrics, and an ASCII phase strip, and
 // optionally writes the phase-timeline and circle-diagram SVGs.
 //
+// A cluster scenario runs the discrete-event MPI engine and, after the
+// unified report, prints the trace metrics: makespan, socket bandwidth,
+// the idle wave of every delay, the asymptotic desync and the mean
+// communication fraction. There -svg DIR writes the ITAC-style Gantt
+// chart (DIR/trace.svg) and the full trace (DIR/trace.csv).
+//
 // With -archive DIR the run streams its full trajectory into a new
 // shard of the disk-backed archive at DIR (creating it if needed):
 // every sample row plus the summary-metric vector, readable back with
 // cmd/pomread or internal/archive. Archiving implies streaming mode, so
-// it composes with -stream and excludes -svg. Shards are written in the
-// POMARC2 format; -archive-codec picks the record codec (delta
-// compression by default, raw for byte-for-byte POMARC1 payloads) and
-// one directory may mix codecs and generations freely.
+// it composes with -stream and, for POM runs, excludes -svg. Shards are
+// written in the POMARC2 format; -archive-codec picks the record codec
+// (delta compression by default, raw for byte-for-byte POMARC1
+// payloads) and one directory may mix codecs and generations freely.
 //
 // With -sweep DIR the process instead joins a fault-tolerant
 // distributed sweep as one lease-coordinated worker (internal/dsweep):
@@ -27,6 +33,7 @@
 //	pomsim -n 40 -potential desync -sigma 1.5 -archive runs/desync
 //	pomsim -save-config fig2b.json -potential desync -sigma 1.5
 //	pomsim -config fig2b.json
+//	pomsim -config examples/scenarios/cluster.json -svg out
 //	pomsim -potential desync -sweep runs/scan -sweep-points 64 -sweep-param sigma -sweep-from 0.5 -sweep-to 3
 package main
 
@@ -205,8 +212,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if name != "pom" && *svgDir != "" {
-		log.Fatalf("-svg is POM-only; family %q runs in streaming mode", name)
+	fam := cliFamilies[name]
+	if name != "pom" && *svgDir != "" && fam.artifacts == nil {
+		log.Fatalf("-svg: family %q runs in streaming mode and writes no plots or traces", name)
 	}
 	if name == "pom" && !*stream && *archDir == "" {
 		m := sys.(*core.Model)
@@ -217,10 +225,16 @@ func main() {
 		report(spec, m, res, *svgDir, *quiet)
 		return
 	}
-	if *svgDir != "" {
+	if name == "pom" && *svgDir != "" {
 		log.Fatal("-svg needs the materialized trajectory; drop -stream/-archive")
 	}
-	runStreamed(&streamed{spec: spec, sys: sys, tEnd: runEnd, samples: runSamples}, cliFamilies[name], *archDir)
+	runStreamed(&streamed{spec: spec, sys: sys, tEnd: runEnd, samples: runSamples}, fam, *archDir)
+	if *svgDir != "" {
+		if err := fam.artifacts(spec, sys, *svgDir); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("trace SVG and CSV written to %s\n", *svgDir)
+	}
 }
 
 // shardCodec is the record codec of every shard this invocation

@@ -33,6 +33,25 @@ type sysClock struct{}
 //pomvet:allow wallclock the serve boundary: the single injection point of real time into the service
 func (sysClock) Now() time.Time { return time.Now() }
 
+// Connection timeouts. A client gets readHeaderTimeout to send its
+// request headers and an idle keep-alive connection is closed after
+// idleTimeout, so stalled or abandoned connections cannot pile up. There
+// is no write timeout: an NDJSON run streams for as long as it runs.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the service's HTTP server on addr.
+func newHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	var (
 		addr     = flag.String("addr", "localhost:8432", "listen address")
@@ -80,7 +99,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := newHTTPServer(*addr, srv.Handler())
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	go func() {

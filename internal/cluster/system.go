@@ -14,7 +14,11 @@ import (
 // streaming / sweep / archive / scenario stack as the ODE families:
 // sweep.RunReduce reduces cluster sweeps online, sweep.RunArchive
 // persists and resumes them bitwise, and cmd/pomsim runs them from a
-// scenario JSON.
+// scenario JSON. A facade built by Result.System keeps the replayed
+// Result (see TraceSystem.Result), so a front end reads the trace
+// metrics — makespan, socket bandwidth, idle-wave speed, desync skew,
+// communication fractions — and renders the Gantt chart from the same
+// engine run, without simulating twice.
 //
 // The facade replays the trace as a phase field: rank i's state is
 // θ_i(t) = 2π · p_i(t), where p_i is the continuous iteration progress
@@ -35,6 +39,7 @@ type TraceSystem struct {
 	iterEnds [][]float64
 	end      float64
 	hmax     float64
+	res      *Result
 }
 
 // NewTraceSystem wraps a completed execution trace. The trace must hold
@@ -72,8 +77,19 @@ func NewTraceSystem(tr *trace.Trace) (*TraceSystem, error) {
 }
 
 // System wraps the result's trace as a sim.System — the facade cluster
-// scenario sweeps integrate through.
-func (r *Result) System() (*TraceSystem, error) { return NewTraceSystem(r.Trace) }
+// scenario sweeps integrate through. The facade keeps r for Result.
+func (r *Result) System() (*TraceSystem, error) {
+	s, err := NewTraceSystem(r.Trace)
+	if err != nil {
+		return nil, err
+	}
+	s.res = r
+	return s, nil
+}
+
+// Result returns the engine run the facade replays, or nil when it was
+// built from a bare trace by NewTraceSystem.
+func (s *TraceSystem) Result() *Result { return s.res }
 
 // Dim implements sim.System.
 func (s *TraceSystem) Dim() int { return len(s.iterEnds) }
